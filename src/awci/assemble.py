@@ -2,14 +2,16 @@
 
 Pairs become an undirected graph (vertices are intervals, edges are reported
 pairs). Vertices that cannot reach the quorum are dropped, dominated
-representatives may be pruned, maximal cliques are enumerated per connected
-component, and each clique is tested for closedness; non-closed cliques are
-probed for closed sub-cliques within a bounded descent. Reported sets are
-those closed sets not contained in another reported closed set.
+representatives may be pruned, and maximal cliques are enumerated by one
+pivoted Bron-Kerbosch run over the whole graph. Each clique is tested for
+closedness with per-vertex extension masks; non-closed cliques are probed
+for closed sub-cliques within a bounded descent. Reported sets are those
+closed sets not contained in another reported closed set.
 """
 from __future__ import annotations
 
 import logging
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -30,6 +32,12 @@ class AwciGraph:
         for u, v in edges:
             self.adj[u].add(v)
             self.adj[v].add(u)
+
+    @cached_property
+    def char_sets(self) -> list[frozenset[int]]:
+        """Character-set union of each vertex's interval."""
+        return [self.dataset.string_of(iv).char_set(iv.i, iv.j)
+                for iv in self.vertices]
 
     def string_of(self, v: int) -> int:
         return self.dataset.index_of(self.vertices[v].string_id)
@@ -84,19 +92,6 @@ def build_graph(pairs: Iterable[AwciPair], dataset: Dataset,
     return graph
 
 
-def _extension_positions_sharing(graph: AwciGraph, v: int, side: range) -> int:
-    """Count positions in `side` intersecting every neighbor's character set."""
-    s = graph.dataset.string_of(graph.vertices[v])
-    neighbor_sets = [graph.dataset.string_of(graph.vertices[u]).char_set(
-        graph.vertices[u].i, graph.vertices[u].j) for u in sorted(graph.adj[v])]
-    count = 0
-    for p in side:
-        pset = s.at(p)
-        if neighbor_sets and all(pset & cs for cs in neighbor_sets):
-            count += 1
-    return count
-
-
 def prune_dominated_vertices(graph: AwciGraph) -> AwciGraph:
     """Drop vertices dominated by a strict superinterval on the same string.
 
@@ -110,18 +105,17 @@ def prune_dominated_vertices(graph: AwciGraph) -> AwciGraph:
     for v, iv in enumerate(graph.vertices):
         by_string.setdefault(iv.string_id, []).append(v)
 
+    char_sets = graph.char_sets
     discard: set[int] = set()
     for v, iv in enumerate(graph.vertices):
         if not graph.adj[v]:
             continue
         s = graph.dataset.string_of(iv)
-        neighbor_sets = [graph.dataset.string_of(graph.vertices[u]).char_set(
-            graph.vertices[u].i, graph.vertices[u].j)
-            for u in sorted(graph.adj[v])]
+        neighbor_sets = [char_sets[u] for u in graph.adj[v]]
 
         def shares_all(p: int) -> bool:
             pset = s.at(p)
-            return all(pset & cs for cs in neighbor_sets)
+            return all(not pset.isdisjoint(cs) for cs in neighbor_sets)
 
         for u in by_string[iv.string_id]:
             ju = graph.vertices[u]
@@ -151,8 +145,8 @@ def _maximal_cliques(graph: AwciGraph, guard: int) -> list[tuple[int, ...]]:
         steps += 1
         if steps > guard:
             raise ResourceLimitError(
-                f"maximal clique enumeration exceeded {guard} steps "
-                f"(component of {graph.vertices[r[0]] if r else '?'})")
+                f"maximal clique enumeration took {steps} steps, past its guard "
+                f"of {guard}, on a graph of {len(graph)} vertices")
         if not p and not x:
             if r:
                 out.append(tuple(sorted(r)))
@@ -167,6 +161,46 @@ def _maximal_cliques(graph: AwciGraph, guard: int) -> list[tuple[int, ...]]:
     return out
 
 
+def extension_masks(graph: AwciGraph) -> list[tuple[int, ...]]:
+    """Per vertex, one neighbour bitmask for each adjacent in-contig position.
+
+    For v = [i, j] on S and p in {i-1, j+1} inside S and v's contig, bit u is
+    set for every neighbour u whose character set meets S[p]. Positions off
+    the string or across a contig break get no mask.
+    """
+    char_sets = graph.char_sets
+    out: list[tuple[int, ...]] = []
+    for v, iv in enumerate(graph.vertices):
+        s = graph.dataset.string_of(iv)
+        lo, hi = s.contig_bounds(iv.i)
+        masks = []
+        for p in (iv.i - 1, iv.j + 1):
+            if lo <= p <= hi:
+                pset = s.at(p)
+                masks.append(sum(1 << u for u in graph.adj[v]
+                                 if not pset.isdisjoint(char_sets[u])))
+        out.append(tuple(masks))
+    return out
+
+
+def is_closed_clique(masks: list[tuple[int, ...]], clique: Sequence[int]) -> bool:
+    """Closedness of a clique of the graph `masks` were built on.
+
+    Agrees with `oracle.is_closed_set` on the clique's intervals: a member v
+    is extendable at an adjacent position iff every other member, all of them
+    neighbours of v, is in that position's mask.
+    """
+    members = 0
+    for v in clique:
+        members |= 1 << v
+    for v in clique:
+        others = members ^ (1 << v)
+        for mask in masks[v]:
+            if others & mask == others:
+                return False
+    return True
+
+
 def maximal_closed_sets(graph: AwciGraph, params: SearchParams, *,
                         descent_budget: int = 2,
                         clique_guard: int = 2_000_000) -> list[AwciSet]:
@@ -175,28 +209,31 @@ def maximal_closed_sets(graph: AwciGraph, params: SearchParams, *,
     Each maximal clique spanning at least `quorum` strings is tested for
     closedness; non-closed cliques are probed for closed sub-cliques missing
     at most `descent_budget` members. Finally any closed set contained in a
-    larger collected closed set is dropped.
+    larger collected closed set is dropped. One warning gives the number of
+    non-closed cliques whose descent the budget cut short.
     """
     dataset = graph.dataset
-    delta = params.delta
+    masks = extension_masks(graph)
     candidates: set[tuple[int, ...]] = set()
+    over_budget = 0
     for clique in _maximal_cliques(graph, clique_guard):
         if len(clique) < params.quorum:
             continue
-        members = [graph.vertices[v] for v in clique]
-        if is_closed_set(dataset, members, delta):
+        if is_closed_clique(masks, clique):
             candidates.add(clique)
             continue
         if len(clique) - params.quorum > descent_budget:
-            log.warning(
-                "non-closed clique of size %d exceeds descent budget %d; "
-                "closed sub-cliques missing more than %d members are not probed",
-                len(clique), descent_budget, descent_budget)
+            over_budget += 1
         max_drop = min(descent_budget, len(clique) - params.quorum)
         for drop in range(1, max_drop + 1):
             for sub in combinations(clique, len(clique) - drop):
-                if is_closed_set(dataset, [graph.vertices[v] for v in sub], delta):
+                if is_closed_clique(masks, sub):
                     candidates.add(sub)
+    if over_budget:
+        log.warning(
+            "%d non-closed cliques exceed the descent budget of %d; their closed "
+            "sub-cliques missing more than %d members were not probed",
+            over_budget, descent_budget, descent_budget)
 
     ordered = sorted(candidates)
     closed_sets = [frozenset(c) for c in ordered]

@@ -22,7 +22,7 @@ from .ioformats import (
     write_sets,
 )
 from .model import FormatError, ResourceLimitError, SearchParams, ValidationError
-from .oracle import brute_force_pairs
+from .oracle import brute_force_maximal_closed_sets, brute_force_pairs
 from .sweep import enumerate_pairs
 from .synth import PlantedSpec, generate_planted, random_instance
 
@@ -98,7 +98,7 @@ def build_parser() -> Parser:
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default="-")
 
-    p = sub.add_parser("verify", help="differential checks against the oracle")
+    p = sub.add_parser("verify", help="pair and closed-set differentials against the oracle")
     p.add_argument("--seeds", type=int, default=100)
     p.add_argument("--delta-list", default="0,1,2")
     p.add_argument("--min-size", type=int, default=1)
@@ -198,23 +198,51 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def verify_seed(seed: int, delta: int, min_size: int) -> list[str]:
+    """Oracle differential of one seed; returns the mismatches found.
+
+    Pairs: the sweep (filter on, every pair re-derived by `make_pair`, and
+    filter off) against `brute_force_pairs` on `random_instance(seed)`.
+    Sets: `assemble` against `brute_force_maximal_closed_sets` on the smaller
+    `random_instance(seed, max_n=10)`, at quorum 2 or 3.
+    """
+    problems = []
+    dataset = random_instance(seed)
+    params = SearchParams(delta=delta, quorum=2, min_size=min_size)
+    expected = brute_force_pairs(dataset, params)
+    try:
+        got = list(enumerate_pairs(dataset, params, quorum_grouping=False,
+                                   verify=True))
+    except AssertionError as exc:
+        problems.append(str(exc))
+    else:
+        if got != expected:
+            problems.append(f"{len(got)} vs {len(expected)} pairs")
+    got_off = list(enumerate_pairs(dataset, params, quorum_grouping=False,
+                                   use_filter=False))
+    if got_off != expected:
+        problems.append(f"{len(got_off)} vs {len(expected)} pairs without filter")
+
+    small = random_instance(seed, max_n=10)
+    params = SearchParams(delta=delta, quorum=min(2 + seed % 2, len(small)),
+                          min_size=min_size)
+    expected_sets = brute_force_maximal_closed_sets(small, params)
+    got_sets = assemble(enumerate_pairs(small, params), small, params)
+    if got_sets != expected_sets:
+        problems.append(f"{len(got_sets)} vs {len(expected_sets)} closed sets")
+    return problems
+
+
 def cmd_verify(args) -> int:
     deltas = [int(v) for v in args.delta_list.split(",") if v]
     matches = 0
     for seed in range(args.seeds):
-        dataset = random_instance(seed)
-        delta = deltas[seed % len(deltas)]
-        params = SearchParams(delta=delta, quorum=2, min_size=args.min_size)
-        expected = brute_force_pairs(dataset, params)
-        got = list(enumerate_pairs(dataset, params, quorum_grouping=False))
-        got_off = list(enumerate_pairs(dataset, params, quorum_grouping=False,
-                                       use_filter=False))
-        if got == expected and got_off == expected:
-            matches += 1
+        problems = verify_seed(seed, deltas[seed % len(deltas)], args.min_size)
+        if problems:
+            print(f"seed {seed}: MISMATCH ({'; '.join(problems)})", file=sys.stderr)
         else:
-            print(f"seed {seed}: MISMATCH ({len(got)} vs {len(expected)} pairs)",
-                  file=sys.stderr)
-    print(f"{matches}/{args.seeds} oracle matches")
+            matches += 1
+    print(f"{matches}/{args.seeds} oracle matches (pairs and closed sets)")
     return EXIT_OK if matches == args.seeds else EXIT_INVALID
 
 

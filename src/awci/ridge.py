@@ -133,7 +133,6 @@ class FilterState:
         self.active = [0] * m
         self.deltas = [[0] * (delta + 1) for _ in range(m)]
         self.dead = [False] * m
-        self.calls = 0  # benchmark hook
 
     def reset(self, i: int) -> None:
         self.left = i
@@ -160,7 +159,6 @@ def filter_position(tables: PairTables, ridge_t: list[list[RidgeT | None]],
         raise AwciError("filter state out of sync: reset at each left bound, "
                         "then call with strictly increasing j")
     state.j_prev = j
-    state.calls += 1
     delta = params.delta
     if q_eff is None:
         q_eff = params.quorum

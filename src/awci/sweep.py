@@ -109,13 +109,20 @@ class SweepState:
 
 def enumerate_trans_intervals(tables: PairTables, x: int, i: int, j: int,
                               y: int, anchors: list[int],
-                              params: SearchParams) -> list[tuple[int, int]]:
+                              params: SearchParams
+                              ) -> list[tuple[int, int, int, int]]:
     """All intervals [k, l] of S_y forming a reportable pair with [i, j]_x.
 
     Walks the anchors left to right; around each anchor p, candidate left
     bounds descend from p (never past the previous anchor) and right bounds
     grow from p, both cut off once the candidate's own indels exceed the
     budget. Endpoint anchoring and min_size are applied inline.
+
+    Each result is (k, l, covered, d) from the accepting sweep state:
+    `covered` reference positions of [i, j] are hit from [k, l] and `d`
+    positions of [k, l] hit nothing in [i, j]. A position meets the pair's
+    common set iff it hits some position of the other interval, so these are
+    the non-indel count of the left side and the indel count of the right.
     """
     sy = tables.dataset[y]
     pos_yx = tables.pos[y][x]
@@ -126,7 +133,7 @@ def enumerate_trans_intervals(tables: PairTables, x: int, i: int, j: int,
         row = pos_yx[p]
         return row[bisect_left(row, i):bisect_right(row, j)]
 
-    out: list[tuple[int, int]] = []
+    out: list[tuple[int, int, int, int]] = []
     p_prev = 0
     for p in anchors:
         if not hits(p):
@@ -159,7 +166,7 @@ def enumerate_trans_intervals(tables: PairTables, x: int, i: int, j: int,
                     continue
                 if cur.cover[0] == 0 or cur.cover[span - 1] == 0:
                     continue
-                out.append((k, l))
+                out.append((k, l, cur.covered, cur.d))
             k -= 1
     out.sort()
     return out
@@ -221,7 +228,7 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
                     use_filter: bool = True, refine: bool = True,
                     quorum_grouping: bool = True, threads: int = 1,
                     tables: PairTables | None = None,
-                    ridge_t=None) -> Iterator[AwciPair]:
+                    ridge_t=None, verify: bool = False) -> Iterator[AwciPair]:
     """Stream all reportable interval pairs in deterministic order.
 
     References are processed in dataset order; for each reference interval the
@@ -229,6 +236,11 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
     emitted only when intervals from at least quorum-1 other strings exist
     (unless grouping is disabled). Pairs are reported once, with the left
     interval on the lower-indexed string.
+
+    Each pair is built from the sweep's own counts; only its common set is
+    computed, from character-set unions cached per interval. With `verify`,
+    every pair is re-derived by `oracle.make_pair` and a disagreement raises
+    AssertionError.
     """
     m = len(dataset)
     if m < 2:
@@ -254,6 +266,7 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
             J = refine_bounds(tables, x, i, anchors, J, params, q_eff)
         found: list[AwciPair] = []
         sx = dataset[x]
+        right_sets: dict[tuple[int, int, int], frozenset[int]] = {}
         for j in J:
             if j - i + 1 < params.min_size:
                 continue
@@ -264,11 +277,21 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
                 if coverage < params.quorum - 1:
                     continue
             left = AnchoredInterval(sx.id, i, j)
+            left_set = sx.char_set(i, j)
             for y in sorted(y for y in others if y > x):
-                for (k, l) in ints[y]:
-                    pair = make_pair(dataset, left,
-                                     AnchoredInterval(dataset[y].id, k, l), params)
-                    assert pair is not None, "sweep emitted a pair the oracle rejects"
+                sy = dataset[y]
+                for (k, l, covered, d) in ints[y]:
+                    right_set = right_sets.get((y, k, l))
+                    if right_set is None:
+                        right_set = right_sets[y, k, l] = sy.char_set(k, l)
+                    pair = AwciPair(
+                        left=left, right=AnchoredInterval(sy.id, k, l),
+                        common=left_set & right_set,
+                        indel_total=j - i + 1 - covered + d,
+                        size_left=covered, size_right=l - k + 1 - d)
+                    if verify and make_pair(dataset, left, pair.right, params) != pair:
+                        raise AssertionError(f"sweep pair {pair.left} ~ {pair.right} "
+                                             "disagrees with oracle.make_pair")
                     found.append(pair)
         return found
 

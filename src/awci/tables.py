@@ -13,8 +13,6 @@ difference across a break exceeds every realistic indel budget.
 """
 from __future__ import annotations
 
-import hashlib
-import pickle
 from heapq import merge
 
 from .model import AwciError, Dataset, RangeError
@@ -92,51 +90,3 @@ def same_ridge(ridge_c: list[int], i: int, j: int, delta: int) -> bool:
         # which [i, j] does not cross
         crossed -= 1
     return crossed == 0 and diff % BREAK_COST <= delta
-
-
-CACHE_VERSION = 1
-
-
-def dataset_fingerprint(dataset: Dataset) -> str:
-    """Content hash covering ids, position sets (as labels), and breaks."""
-    h = hashlib.sha256()
-    for s in dataset:
-        h.update(s.id.encode())
-        h.update(b"\x00")
-        for p in s.positions:
-            labels = sorted(dataset.alphabet.label(c) for c in p)
-            h.update(("|".join(labels)).encode())
-            h.update(b"\x01")
-        h.update(repr(sorted(s.contig_breaks)).encode())
-        h.update(b"\x02")
-    return h.hexdigest()
-
-
-def save_cache(tables: PairTables, path: str) -> None:
-    """Persist tables keyed by dataset content hash."""
-    payload = {
-        "version": CACHE_VERSION,
-        "fingerprint": dataset_fingerprint(tables.dataset),
-        "pos": tables.pos,
-        "ridge_c": tables.ridge_c,
-    }
-    with open(path, "wb") as fh:
-        pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def load_cache(dataset: Dataset, path: str) -> PairTables | None:
-    """Load cached tables; None when missing, stale, or from another version."""
-    try:
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-    except (OSError, pickle.UnpicklingError, EOFError):
-        return None
-    if not isinstance(payload, dict) or payload.get("version") != CACHE_VERSION:
-        return None
-    if payload.get("fingerprint") != dataset_fingerprint(dataset):
-        return None
-    tables = PairTables.__new__(PairTables)
-    tables.dataset = dataset
-    tables.pos = payload["pos"]
-    tables.ridge_c = payload["ridge_c"]
-    return tables

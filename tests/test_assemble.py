@@ -1,9 +1,14 @@
+from itertools import combinations
+
 import pytest
 
 from awci.assemble import (
     AwciGraph,
+    _maximal_cliques,
     assemble,
     build_graph,
+    extension_masks,
+    is_closed_clique,
     maximal_closed_sets,
     prune_dominated_vertices,
 )
@@ -110,7 +115,6 @@ def test_descent_reports_closed_subclique():
     expected = brute_force_maximal_closed_sets(ds, params)
     assert result == expected
     g = build_graph(pairs, ds, params)
-    from awci.assemble import _maximal_cliques
     cliques = _maximal_cliques(g, 100_000)
     assert any(len(c) >= 2 and not is_closed_set(ds, [g.vertices[v] for v in c], 1)
                for c in cliques)
@@ -144,3 +148,54 @@ def test_prune_does_not_change_output():
         pairs = list(enumerate_pairs(ds, params))
         assert assemble(pairs, ds, params, prune=True) == \
             assemble(pairs, ds, params, prune=False)
+
+
+def mask_vs_oracle(ds, params, descent_budget=2):
+    """Compare the mask closedness test with the oracle on every maximal
+    clique and every sub-clique the descent probes. Returns the boundary
+    kinds ("string_end", "contig_break") that some compared member touches."""
+    g = build_graph(enumerate_pairs(ds, params), ds, params)
+    masks = extension_masks(g)
+    kinds = set()
+    for clique in _maximal_cliques(g, 100_000):
+        if len(clique) < params.quorum:
+            continue
+        max_drop = min(descent_budget, len(clique) - params.quorum)
+        for drop in range(max_drop + 1):
+            for sub in combinations(clique, len(clique) - drop):
+                members = [g.vertices[v] for v in sub]
+                assert is_closed_clique(masks, sub) == \
+                    is_closed_set(ds, members, params.delta), members
+                for iv in members:
+                    s = ds.string_of(iv)
+                    lo, hi = s.contig_bounds(iv.i)
+                    if iv.i == 1 or iv.j == len(s):
+                        kinds.add("string_end")
+                    if (iv.i == lo > 1) or (iv.j == hi < len(s)):
+                        kinds.add("contig_break")
+    return kinds
+
+
+def test_extension_masks_match_oracle_closedness():
+    kinds = set()
+    for seed in range(40):
+        params = SearchParams(delta=seed % 3, quorum=2 + seed % 2, min_size=1)
+        for break_prob in (0.1, 0.4):
+            ds = random_instance(seed, max_n=8, break_prob=break_prob)
+            if params.quorum <= len(ds):
+                kinds |= mask_vs_oracle(ds, params)
+    assert kinds == {"string_end", "contig_break"}
+
+
+def test_extension_masks_non_hereditary_witness(witness):
+    params = SearchParams(delta=1, quorum=2, min_size=1)
+    mask_vs_oracle(witness, params)
+    # {S1:1-2, S2:1-3} is no pair at min_size 1 (S2 position 3 is an
+    # unanchored endpoint), so the three intervals are joined by hand
+    members = [AnchoredInterval("S1", 1, 2), AnchoredInterval("S2", 1, 3),
+               AnchoredInterval("S3", 1, 2)]
+    g = AwciGraph(witness, members, [(0, 1), (0, 2), (1, 2)])
+    masks = extension_masks(g)
+    assert is_closed_set(witness, members) and is_closed_clique(masks, (0, 1, 2))
+    assert not is_closed_set(witness, members[:2])
+    assert not is_closed_clique(masks, (0, 1))

@@ -101,3 +101,16 @@ def test_bench_command_small(tmp_path):
     lines = open(out).read().splitlines()
     assert lines[0].startswith("m\t")
     assert len(lines) == 3
+
+
+def test_verify_checks_closed_sets(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "assemble", lambda pairs, ds, params: [])
+    assert cli.main(["verify", "--seeds", "5"]) == 2
+    assert "closed sets" in capsys.readouterr().err
+
+
+def test_verify_rederives_pairs_with_oracle(monkeypatch, capsys):
+    import awci.sweep
+    monkeypatch.setattr(awci.sweep, "make_pair", lambda *args: None)
+    assert cli.main(["verify", "--seeds", "3"]) == 2
+    assert "disagrees with oracle.make_pair" in capsys.readouterr().err

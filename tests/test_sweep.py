@@ -78,10 +78,11 @@ def test_incremental_count_matches_oracle():
 def test_trans_intervals_demo(demo):
     t = build_pos_tables(demo)
     params = SearchParams(delta=1, quorum=3, min_size=6)
+    # (k, l, covered, d): S1 position 3 misses S3:1-8; S2 position 6 misses S1:1-8
     vs_s3 = enumerate_trans_intervals(t, 0, 1, 8, 2, collect_anchors(t, 0, 2, 1, 1), params)
-    assert (1, 8) in vs_s3
+    assert (1, 8, 7, 0) in vs_s3
     vs_s2 = enumerate_trans_intervals(t, 0, 1, 8, 1, collect_anchors(t, 0, 1, 1, 1), params)
-    assert (2, 7) in vs_s2
+    assert (2, 7, 8, 1) in vs_s2
 
 
 def test_trans_intervals_disjoint_alphabets():
@@ -175,3 +176,16 @@ def test_enumerate_pairs_thread_count_invariant():
         one = serialize(enumerate_pairs(ds, params, quorum_grouping=False, threads=1))
         four = serialize(enumerate_pairs(ds, params, quorum_grouping=False, threads=4))
         assert one == four
+
+
+def test_enumerate_pairs_verify_path_same_output(demo):
+    cases = [(demo, SearchParams(delta=1, quorum=3, min_size=6), True)]
+    for seed in range(30):
+        cases.append((random_instance(seed),
+                      SearchParams(delta=seed % 3, quorum=2, min_size=1 + seed % 2),
+                      False))
+    for ds, params, grouping in cases:
+        plain = list(enumerate_pairs(ds, params, quorum_grouping=grouping))
+        assert plain
+        assert list(enumerate_pairs(ds, params, quorum_grouping=grouping,
+                                    verify=True)) == plain

@@ -5,14 +5,7 @@ import pytest
 from awci.model import AnchoredInterval, AwciError, RangeError
 from awci.oracle import judge_pair
 from awci.synth import random_instance
-from awci.tables import (
-    BREAK_COST,
-    build_pos_tables,
-    dataset_fingerprint,
-    load_cache,
-    same_ridge,
-    save_cache,
-)
+from awci.tables import BREAK_COST, build_pos_tables, same_ridge
 from conftest import make_dataset
 
 
@@ -137,30 +130,3 @@ def test_build_requires_two_strings():
     ds = make_dataset(("S", [["a"]]))
     with pytest.raises(AwciError):
         build_pos_tables(ds)
-
-
-def test_cache_roundtrip(tmp_path, demo, demo_tables):
-    path = str(tmp_path / "tables.bin")
-    save_cache(demo_tables, path)
-    loaded = load_cache(demo, path)
-    assert loaded is not None
-    assert loaded.pos == demo_tables.pos
-    assert loaded.ridge_c == demo_tables.ridge_c
-
-
-def test_cache_rejects_stale_and_garbage(tmp_path, demo, demo_tables, witness):
-    path = str(tmp_path / "tables.bin")
-    save_cache(demo_tables, path)
-    assert load_cache(witness, path) is None          # different dataset
-    assert load_cache(demo, str(tmp_path / "nope")) is None  # missing file
-    with open(path, "wb") as fh:
-        fh.write(b"not a cache")
-    assert load_cache(demo, path) is None
-
-
-def test_fingerprint_sensitivity():
-    a = make_dataset(("S", [["a"], ["b"]]), ("T", [["a"]]))
-    b = make_dataset(("S", [["a"], ["b"]], [1]), ("T", [["a"]]))
-    c = make_dataset(("S", [["a"], ["b"]]), ("T", [["a"]]))
-    assert dataset_fingerprint(a) == dataset_fingerprint(c)
-    assert dataset_fingerprint(a) != dataset_fingerprint(b)
