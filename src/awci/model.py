@@ -5,7 +5,6 @@ after construction and safe to share between worker threads.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -69,7 +68,7 @@ class IndeterminateString:
     Intervals never straddle a boundary.
     """
 
-    __slots__ = ("id", "positions", "contig_breaks", "_contig_starts")
+    __slots__ = ("id", "positions", "contig_breaks", "_contigs", "_contig_of")
 
     def __init__(self, id: str, positions: Sequence[frozenset[int]],
                  contig_breaks: Iterable[int] = ()) -> None:
@@ -89,8 +88,12 @@ class IndeterminateString:
         self.id = id
         self.positions = positions
         self.contig_breaks = breaks
-        # 1-based start position of each contig, sorted
-        self._contig_starts = [1] + [b + 1 for b in sorted(breaks)]
+        # one shared (first, last) tuple per contig, and per position (index
+        # p - 1) a reference to its contig's tuple
+        starts = [1] + [b + 1 for b in sorted(breaks)]
+        ends = [s - 1 for s in starts[1:]] + [n]
+        self._contigs = tuple(zip(starts, ends))
+        self._contig_of = tuple(c for c in self._contigs for _ in range(c[0], c[1] + 1))
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -122,11 +125,7 @@ class IndeterminateString:
         """(first, last) position of the contig containing position p."""
         if not 1 <= p <= len(self.positions):
             raise RangeError(f"string {self.id!r}: position {p} out of range")
-        k = bisect_right(self._contig_starts, p) - 1
-        lo = self._contig_starts[k]
-        hi = (self._contig_starts[k + 1] - 1) if k + 1 < len(self._contig_starts) \
-            else len(self.positions)
-        return lo, hi
+        return self._contig_of[p - 1]
 
     def same_contig(self, i: int, j: int) -> bool:
         return self.contig_bounds(i)[0] == self.contig_bounds(j)[0]
@@ -136,8 +135,7 @@ class IndeterminateString:
 
     def intervals(self) -> Iterator[tuple[int, int]]:
         """All valid (i, j) intervals, contig by contig."""
-        for lo in self._contig_starts:
-            hi = self.contig_bounds(lo)[1]
+        for lo, hi in self._contigs:
             for i in range(lo, hi + 1):
                 for j in range(i, hi + 1):
                     yield i, j

@@ -50,9 +50,6 @@ class AwciSet:
     members: tuple[AnchoredInterval, ...]
     closed: bool
 
-    def member_ids(self) -> tuple[str, ...]:
-        return tuple(m.string_id for m in self.members)
-
 
 def judge_pair(dataset: Dataset, a: AnchoredInterval, b: AnchoredInterval,
                delta: int) -> PairVerdict:
@@ -158,11 +155,6 @@ def brute_force_pairs(dataset: Dataset, params: SearchParams) -> list[AwciPair]:
                         out.append(pair)
     out.sort(key=lambda p: dataset.sort_key(p.left) + dataset.sort_key(p.right))
     return out
-
-
-def _pair_key(dataset, a, b):
-    ka, kb = dataset.sort_key(a), dataset.sort_key(b)
-    return (ka, kb) if ka < kb else (kb, ka)
 
 
 def brute_force_maximal_closed_sets(dataset: Dataset, params: SearchParams,

@@ -1,6 +1,12 @@
 """Interval pair enumeration: per reference string and left bound, determine
 candidate right bounds, then sweep the other strings for all pairing
-intervals, with an O(1) incremental acceptance test per candidate.
+intervals.
+
+The sweep works on the per-position hit masks of `tables.PairTables`: with
+the reference interval [i, j] as the window W of bits i..j, the hits of a
+trans position p are `hitmask[y][x][p] & W`, a candidate interval's state is
+the union of its positions' hits plus a count of positions that hit nothing,
+and the acceptance and endpoint tests are a few int operations each.
 """
 from __future__ import annotations
 
@@ -34,14 +40,24 @@ def candidate_right_bounds(tables: PairTables, ridge_t, x: int, i: int,
     return J
 
 
+def window(i: int, j: int) -> int:
+    """The int with bits i..j set: the hit-mask window of the interval [i, j]."""
+    return ((1 << (j - i + 1)) - 1) << i
+
+
 def collect_anchors(tables: PairTables, x: int, y: int, i: int, delta: int) -> list[int]:
     """Sorted union of Pos rows for reference positions i..i+delta (contig-clamped)."""
-    sx = tables.dataset[x]
-    hi = min(i + delta, sx.contig_bounds(i)[1])
-    merged: set[int] = set()
+    masks = tables.hitmask[x][y]
+    hi = min(i + delta, tables.dataset[x].contig_bounds(i)[1])
+    union = 0
     for p in range(i, hi + 1):
-        merged.update(tables.pos[x][y][p])
-    return sorted(merged)
+        union |= masks[p]
+    out: list[int] = []
+    while union:
+        low = union & -union
+        out.append(low.bit_length() - 1)
+        union ^= low
+    return out
 
 
 def incremental_indel_count(tables: PairTables, x: int, i: int, j: int,
@@ -52,59 +68,17 @@ def incremental_indel_count(tables: PairTables, x: int, i: int, j: int,
     positions of [k, l] hitting nothing in [i, j]; equals the definitional
     indel total of the pair.
     """
-    pos_yx = tables.pos[y][x]
-    hit: set[int] = set()
+    masks = tables.hitmask[y][x]
+    w = window(i, j)
+    union = 0
     d = 0
     for p in range(k, l + 1):
-        row = pos_yx[p]
-        lo = bisect_left(row, i)
-        hi = bisect_right(row, j)
-        if lo == hi:
-            d += 1
+        hits = masks[p] & w
+        if hits:
+            union |= hits
         else:
-            hit.update(row[lo:hi])
-    return (j - i + 1 - len(hit)) + d
-
-
-class SweepState:
-    """Incremental counters for growing a candidate interval of a trans string.
-
-    Tracks, for the fixed reference interval [i, j], how many positions of the
-    candidate hit each reference position (`cover`, with `covered` distinct
-    hits) and how many candidate positions hit nothing (`d`). Acceptance is
-    then j - i + 1 - covered + d <= delta, evaluated in O(1).
-    """
-
-    __slots__ = ("i", "j", "cover", "covered", "d")
-
-    def __init__(self, i: int, j: int) -> None:
-        self.i = i
-        self.j = j
-        self.cover = [0] * (j - i + 1)
-        self.covered = 0
-        self.d = 0
-
-    def add(self, hits: list[int]) -> None:
-        if not hits:
-            self.d += 1
-            return
-        base = self.i
-        for i_prime in hits:
-            c = self.cover[i_prime - base]
-            if c == 0:
-                self.covered += 1
-            self.cover[i_prime - base] = c + 1
-
-    def copy(self) -> "SweepState":
-        dup = SweepState.__new__(SweepState)
-        dup.i, dup.j = self.i, self.j
-        dup.cover = self.cover.copy()
-        dup.covered = self.covered
-        dup.d = self.d
-        return dup
-
-    def indels(self) -> int:
-        return (self.j - self.i + 1 - self.covered) + self.d
+            d += 1
+    return (j - i + 1 - union.bit_count()) + d
 
 
 def enumerate_trans_intervals(tables: PairTables, x: int, i: int, j: int,
@@ -118,56 +92,63 @@ def enumerate_trans_intervals(tables: PairTables, x: int, i: int, j: int,
     grow from p, both cut off once the candidate's own indels exceed the
     budget. Endpoint anchoring and min_size are applied inline.
 
-    Each result is (k, l, covered, d) from the accepting sweep state:
-    `covered` reference positions of [i, j] are hit from [k, l] and `d`
-    positions of [k, l] hit nothing in [i, j]. A position meets the pair's
-    common set iff it hits some position of the other interval, so these are
-    the non-indel count of the left side and the indel count of the right.
+    The hits of a position of S_y inside [i, j] are its hit mask ANDed with
+    the window W of bits i..j. A candidate's state is two ints: the union
+    `u` of its positions' hits and the count `d` of its positions that hit
+    nothing. Each result is (k, l, covered, d) with covered = |u|: `covered`
+    reference positions of [i, j] are hit from [k, l] and `d` positions of
+    [k, l] hit nothing in [i, j]. A position meets the pair's common set iff
+    it hits some position of the other interval, so these are the non-indel
+    count of the left side and the indel count of the right.
     """
     sy = tables.dataset[y]
-    pos_yx = tables.pos[y][x]
+    masks = tables.hitmask[y][x]
     delta = params.delta
+    min_size = params.min_size
     span = j - i + 1
-
-    def hits(p: int) -> list[int]:
-        row = pos_yx[p]
-        return row[bisect_left(row, i):bisect_right(row, j)]
+    w = window(i, j)
+    ends = (1 << i) | (1 << j)
 
     out: list[tuple[int, int, int, int]] = []
     p_prev = 0
     for p in anchors:
-        if not hits(p):
+        if not masks[p] & w:
             # anchor only reaches reference positions outside [i, j]; it cannot
             # anchor an interval here and must not act as a range separator
             continue
         lo, hi = sy.contig_bounds(p)
         k_min = max(p_prev + 1, lo)
         p_prev = p
-        # base states over [k, p-1], built while k descends
-        base = SweepState(i, j)
-        k = p
-        while k >= k_min:
+        # base state over [k, p-1], grown while k descends
+        base_u = base_d = 0
+        for k in range(p, k_min - 1, -1):
+            k_hits = masks[k] & w
             if k < p:
-                base.add(hits(k))
-                if base.d > delta:
-                    break
-            cur = base.copy()
-            k_hit = hits(k)
+                if k_hits:
+                    base_u |= k_hits
+                else:
+                    base_d += 1
+                    if base_d > delta:
+                        break
+            if not k_hits:
+                # endpoint anchoring fails for every [k, l]
+                continue
+            u, d = base_u, base_d
             for l in range(p, hi + 1):
-                cur.add(hits(l))
-                if cur.d > delta:
-                    break
-                if l - k + 1 < params.min_size:
+                hits = masks[l] & w
+                if not hits:
+                    # an unanchored right endpoint; the candidate still grows
+                    d += 1
+                    if d > delta:
+                        break
                     continue
-                if cur.indels() > delta:
+                u |= hits
+                if l - k + 1 < min_size:
                     continue
-                # endpoint anchoring: all four endpoints must be non-indels
-                if not k_hit or not hits(l):
-                    continue
-                if cur.cover[0] == 0 or cur.cover[span - 1] == 0:
-                    continue
-                out.append((k, l, cur.covered, cur.d))
-            k -= 1
+                covered = u.bit_count()
+                # acceptance, then anchoring of the reference endpoints i and j
+                if span - covered + d <= delta and (u & ends) == ends:
+                    out.append((k, l, covered, d))
     out.sort()
     return out
 
@@ -181,41 +162,47 @@ def refine_bounds(tables: PairTables, x: int, i: int,
     anchor neighborhood bounds the right end of any pair with that string;
     the (q_eff - 1)-th largest such bound caps J. Repeated until stable or
     the iteration cap is hit.
+
+    The reachable reference positions of one trans string are the union of
+    the hit masks over every anchor's neighborhood, built once; each round
+    reads the top bit of that union inside the window of bits i..J[-1].
     """
     delta = params.delta
+    reach: list[int] = []
+    for y, p_list in anchors.items():
+        sy = tables.dataset[y]
+        rc = tables.ridge_c[y][x]
+        masks = tables.hitmask[y][x]
+        union = 0
+        done = 0  # every position up to here is in the union
+        for p in p_list:
+            # widest span around p costing at most delta trivial indels,
+            # clamped to p's contig; the prefix base strips the break cost
+            # folded into the step at the contig's first position
+            lo, hi = sy.contig_bounds(p)
+            base = rc[lo] - (0 if masks[lo] else 1)
+            if rc[p] - base <= delta:
+                k_star = lo
+            else:
+                k_star = bisect_left(rc, rc[p] - delta, lo, p) + 1
+            prev = base if p == lo else rc[p - 1]
+            l_star = bisect_right(rc, prev + delta, p, hi + 1) - 1
+            # both ends only move right as p does (anchors are sorted), so
+            # the overlap with the previous span is already in the union
+            for k_prime in range(max(k_star, done + 1), l_star + 1):
+                union |= masks[k_prime]
+            done = l_star
+        reach.append(union)
+    if len(reach) < q_eff - 1:
+        return []
     for _ in range(params.refine_iters):
         if not J:
             return []
         j_max = J[-1]
-        j_stars: list[int] = []
-        for y, p_list in anchors.items():
-            sy = tables.dataset[y]
-            rc = tables.ridge_c[y][x]
-            pos_yx = tables.pos[y][x]
-            best = 0
-            for p in p_list:
-                # widest span around p costing at most delta trivial indels,
-                # clamped to p's contig; the prefix base strips the break cost
-                # folded into the step at the contig's first position
-                lo, hi = sy.contig_bounds(p)
-                base = rc[lo] - (0 if pos_yx[lo] else 1)
-                if rc[p] - base <= delta:
-                    k_star = lo
-                else:
-                    k_star = bisect_left(rc, rc[p] - delta, lo, p) + 1
-                prev = base if p == lo else rc[p - 1]
-                l_star = bisect_right(rc, prev + delta, p, hi + 1) - 1
-                for k_prime in range(k_star, l_star + 1):
-                    row = pos_yx[k_prime]
-                    idx = bisect_right(row, j_max) - 1
-                    if idx >= 0 and row[idx] >= i and row[idx] > best:
-                        best = row[idx]
-                if best == j_max:
-                    break
-            j_stars.append(best)
-        if len(j_stars) < q_eff - 1:
-            return []
-        r = sorted(j_stars, reverse=True)[q_eff - 2]
+        w = window(i, j_max)
+        # -1 for a string that reaches nothing in [i, j_max]
+        j_stars = sorted(((u & w).bit_length() - 1 for u in reach), reverse=True)
+        r = j_stars[q_eff - 2]
         if r < i:
             return []
         if r >= j_max:

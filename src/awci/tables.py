@@ -1,19 +1,20 @@
 """Precomputed per-ordered-pair index tables.
 
-For every ordered string pair (x, y) two structures are built once and shared
-read-only afterwards:
+For every ordered string pair (x, y) three structures are built once and
+shared read-only afterwards:
 
-  * pos[x][y][i]   -- sorted positions k of S_y whose set intersects S_x[i]
-  * ridge_c[x][y]  -- prefix counts of positions of S_x sharing nothing with
-                      S_y at all (trivial indels), with a sentinel 0 entry so
-                      differences at i = 1 are well defined
+  * pos[x][y][i]     -- sorted positions k of S_y whose set intersects S_x[i]
+  * hitmask[x][y][i] -- the same positions as one int, bit k set for each k in
+                        pos[x][y][i]; the sweep intersects it with a window of
+                        bits to get the hits of S_x[i] inside an interval of S_y
+  * ridge_c[x][y]    -- prefix counts of positions of S_x sharing nothing with
+                        S_y at all (trivial indels), with a sentinel 0 entry so
+                        differences at i = 1 are well defined
 
 Contig breaks of S_x are folded into ridge_c as huge additive steps, so any
 difference across a break exceeds every realistic indel budget.
 """
 from __future__ import annotations
-
-from heapq import merge
 
 from .model import AwciError, Dataset, RangeError
 
@@ -22,42 +23,60 @@ BREAK_COST = 1 << 40
 
 
 class PairTables:
-    """Pos and Ridge^c tables for all ordered string pairs of a dataset."""
+    """Pos, hit-mask and Ridge^c tables for all ordered string pairs of a dataset."""
 
     def __init__(self, dataset: Dataset) -> None:
         self.dataset = dataset
         m = len(dataset)
-        # occurrence lists: for each string, char id -> sorted positions
+        # occurrences: for each string, char id -> sorted positions, and
+        # char id -> the int with those positions' bits set
         occ: list[dict[int, list[int]]] = []
+        occ_bits: list[dict[int, int]] = []
         for s in dataset:
             d: dict[int, list[int]] = {}
+            b: dict[int, int] = {}
             for p, chars in enumerate(s.positions, start=1):
+                bit = 1 << p
                 for c in chars:
-                    d.setdefault(c, []).append(p)
+                    if c in d:
+                        d[c].append(p)
+                        b[c] |= bit
+                    else:
+                        d[c] = [p]
+                        b[c] = bit
             occ.append(d)
+            occ_bits.append(b)
 
+        # rows are shared read-only, so every position hitting nothing
+        # gets the same empty row
+        empty: list[int] = []
         self.pos: list[list[list[list[int]] | None]] = [[None] * m for _ in range(m)]
+        self.hitmask: list[list[list[int] | None]] = [[None] * m for _ in range(m)]
         self.ridge_c: list[list[list[int] | None]] = [[None] * m for _ in range(m)]
         for x in range(m):
             sx = dataset[x]
             for y in range(m):
                 if x == y:
                     continue
-                oy = occ[y]
-                rows: list[list[int]] = [[]]  # index 0 unused
+                oy, by = occ[y], occ_bits[y]
+                rows: list[list[int]] = [empty]  # index 0 unused
+                masks = [0]
                 for chars in sx.positions:
-                    lists = [oy[c] for c in chars if c in oy]
-                    if not lists:
-                        rows.append([])
-                    elif len(lists) == 1:
-                        rows.append(lists[0])
+                    found = [c for c in chars if c in oy]
+                    if not found:
+                        rows.append(empty)
+                        masks.append(0)
+                    elif len(found) == 1:
+                        rows.append(oy[found[0]])
+                        masks.append(by[found[0]])
                     else:
-                        merged: list[int] = []
-                        for k in merge(*lists):
-                            if not merged or merged[-1] != k:
-                                merged.append(k)
-                        rows.append(merged)
+                        rows.append(sorted(set().union(*[oy[c] for c in found])))
+                        mask = 0
+                        for c in found:
+                            mask |= by[c]
+                        masks.append(mask)
                 self.pos[x][y] = rows
+                self.hitmask[x][y] = masks
 
                 rc = [0]
                 breaks = sx.contig_breaks
@@ -67,9 +86,6 @@ class PairTables:
                         step += BREAK_COST
                     rc.append(rc[-1] + step)
                 self.ridge_c[x][y] = rc
-
-    def pos_row(self, x: int, y: int, i: int) -> list[int]:
-        return self.pos[x][y][i]  # type: ignore[index]
 
 
 def build_pos_tables(dataset: Dataset) -> PairTables:

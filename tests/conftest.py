@@ -30,16 +30,20 @@ def demo():
     return make_dataset(("S1", DEMO_S1), ("S2", DEMO_S2), ("S3", DEMO_S3))
 
 
+# Closedness is not hereditary (the "witness" dataset): at delta=1, quorum=2,
+# min_size=1 the reported closed set {S1:1-2, S2:1-2, S3:1-2} has the
+# non-closed subset {S1:1-2, S2:1-2}. S1 position 3 = {c} meets
+# C(S2[1,2]) = {a, b, c}, so it extends S1:1-2 against S2 alone, but it misses
+# C(S3[1,2]) = {a, b}. The extended pair {S1:1-3, S2:1-2} is reported too.
+WITNESS = (("S1", [["a"], ["b"], ["c"]]),
+           ("S2", [["a"], ["b", "c"]]),
+           ("S3", [["a"], ["b"]]))
+WITNESS_CLOSED = ("S1:1-2", "S2:1-2", "S3:1-2")
+
+
 @pytest.fixture(scope="session")
 def witness():
-    """Closedness is not hereditary: {S1:1-2, S2:1-3, S3:1-2} is closed at
-    delta=1 but its subset {S1:1-2, S2:1-3} is not (S1 position 3 = {c}
-    intersects C(S2[1,3]))."""
-    return make_dataset(
-        ("S1", [["a"], ["b"], ["c"]]),
-        ("S2", [["a"], ["b"], ["c"]]),
-        ("S3", [["a"], ["b"]]),
-    )
+    return make_dataset(*WITNESS)
 
 
 def labels_of(dataset, char_ids):

@@ -16,7 +16,7 @@ from awci.model import AnchoredInterval, ResourceLimitError, SearchParams
 from awci.oracle import brute_force_maximal_closed_sets, is_closed_set
 from awci.sweep import enumerate_pairs
 from awci.synth import random_instance
-from conftest import make_dataset
+from conftest import WITNESS_CLOSED, make_dataset
 
 
 def demo_graph(demo, params):
@@ -190,12 +190,12 @@ def test_extension_masks_match_oracle_closedness():
 def test_extension_masks_non_hereditary_witness(witness):
     params = SearchParams(delta=1, quorum=2, min_size=1)
     mask_vs_oracle(witness, params)
-    # {S1:1-2, S2:1-3} is no pair at min_size 1 (S2 position 3 is an
-    # unanchored endpoint), so the three intervals are joined by hand
-    members = [AnchoredInterval("S1", 1, 2), AnchoredInterval("S2", 1, 3),
-               AnchoredInterval("S3", 1, 2)]
-    g = AwciGraph(witness, members, [(0, 1), (0, 2), (1, 2)])
+    g = build_graph(enumerate_pairs(witness, params), witness, params)
+    clique = tuple(next(v for v, iv in enumerate(g.vertices) if str(iv) == name)
+                   for name in WITNESS_CLOSED)
     masks = extension_masks(g)
-    assert is_closed_set(witness, members) and is_closed_clique(masks, (0, 1, 2))
-    assert not is_closed_set(witness, members[:2])
-    assert not is_closed_clique(masks, (0, 1))
+    assert is_closed_clique(masks, clique)
+    assert not is_closed_clique(masks, clique[:2])
+    assert WITNESS_CLOSED in {tuple(str(m) for m in s.members)
+                              for s in assemble(enumerate_pairs(witness, params),
+                                                witness, params)}

@@ -101,6 +101,9 @@ def test_contig_bounds_and_intervals():
     s = ds["S"]
     assert s.contig_bounds(1) == (1, 2)
     assert s.contig_bounds(3) == (3, 5)
+    for p in (0, -1, 6):
+        with pytest.raises(RangeError):
+            s.contig_bounds(p)
     assert s.same_contig(1, 2) and not s.same_contig(2, 3)
     assert s.valid_interval(3, 5) and not s.valid_interval(2, 3)
     ivs = list(s.intervals())

@@ -12,7 +12,7 @@ from awci.oracle import (
     make_pair,
 )
 from awci.synth import random_instance
-from conftest import labels_of, make_dataset
+from conftest import WITNESS_CLOSED, labels_of, make_dataset
 
 GOLDEN = (AnchoredInterval("S1", 1, 8), AnchoredInterval("S2", 2, 7),
           AnchoredInterval("S3", 1, 8))
@@ -79,7 +79,11 @@ def test_is_closed_set_demo(demo):
 
 
 def test_closedness_not_hereditary(witness):
-    full = (AnchoredInterval("S1", 1, 2), AnchoredInterval("S2", 1, 3),
+    params = SearchParams(delta=1, quorum=2, min_size=1)
+    reported = {tuple(str(m) for m in s.members)
+                for s in brute_force_maximal_closed_sets(witness, params)}
+    assert WITNESS_CLOSED in reported and ("S1:1-3", "S2:1-2") in reported
+    full = (AnchoredInterval("S1", 1, 2), AnchoredInterval("S2", 1, 2),
             AnchoredInterval("S3", 1, 2))
     assert is_awci_set(witness, full, 1)
     assert is_closed_set(witness, full)

@@ -2,8 +2,8 @@ import io
 from itertools import combinations
 
 from awci.ioformats import write_pairs
-from awci.model import AnchoredInterval, SearchParams
-from awci.oracle import brute_force_pairs, judge_pair
+from awci.model import AnchoredInterval, Dataset, IndeterminateString, SearchParams
+from awci.oracle import brute_force_pairs, judge_pair, make_pair
 from awci.ridge import FilterState, build_all_ridge_t
 from awci.sweep import (
     candidate_right_bounds,
@@ -13,7 +13,7 @@ from awci.sweep import (
     incremental_indel_count,
     refine_bounds,
 )
-from awci.synth import random_instance
+from awci.synth import PlantedSpec, generate_planted, random_instance
 from awci.tables import build_pos_tables
 from conftest import make_dataset
 
@@ -91,6 +91,42 @@ def test_trans_intervals_disjoint_alphabets():
     params = SearchParams(delta=2, quorum=2)
     assert collect_anchors(t, 0, 1, 1, 2) == []
     assert enumerate_trans_intervals(t, 0, 1, 2, 1, [], params) == []
+
+
+def test_trans_intervals_past_word_boundary():
+    # hit masks of 150 positions: the windows sit above bit 64, in strings with
+    # contig breaks inside and around the planted blocks (67-90, 111-134)
+    planted, _ = generate_planted(PlantedSpec(
+        m=3, n=150, block_count=3, block_length=24, planted_delta=3,
+        background_sharing=0.5, alphabet_size=8, seed=5))
+    breaks = ((40, 140), (30, 135), (60, 110))
+    ds = Dataset([IndeterminateString(s.id, s.positions, b)
+                  for s, b in zip(planted, breaks)], planted.alphabet)
+    t = build_pos_tables(ds)
+    seen = {"pairs": 0, "d > 0": 0, "covered < span": 0}
+    for delta in (0, 1, 2):
+        params = SearchParams(delta=delta, quorum=2, min_size=1)
+        rt = build_all_ridge_t(t, delta)
+        for x, i, y in ((0, 77, 1), (0, 125, 2), (2, 120, 0), (1, 120, 2)):
+            J = candidate_right_bounds(t, rt, x, i, params, 2, FilterState(3, x, delta))
+            for j in (J[len(J) // 2], J[-1]):
+                got = enumerate_trans_intervals(t, x, i, j, y,
+                                                collect_anchors(t, x, y, i, delta), params)
+                a, sy = AnchoredInterval(ds[x].id, i, j), ds[y]
+                expected = []
+                for (k, l) in sy.intervals():
+                    pair = make_pair(ds, a, AnchoredInterval(sy.id, k, l), params)
+                    if pair is None:
+                        continue
+                    size_x, size_y = (pair.size_left, pair.size_right) if x < y \
+                        else (pair.size_right, pair.size_left)
+                    expected.append((k, l, size_x, l - k + 1 - size_y))
+                    assert pair.indel_total == (j - i + 1 - size_x) + (l - k + 1 - size_y)
+                assert got == expected, (delta, x, i, j, y)
+                seen["pairs"] += len(got)
+                seen["d > 0"] += sum(1 for *_, d in got if d)
+                seen["covered < span"] += sum(1 for _, _, c, _ in got if c < j - i + 1)
+    assert min(seen.values()) > 0, seen
 
 
 def refine_fixture():

@@ -46,6 +46,7 @@ def test_pos_duality():
                 for i in range(1, len(ds[x]) + 1):
                     for k in t.pos[x][y][i]:
                         assert i in t.pos[y][x][k]
+                    assert t.hitmask[x][y][i] == sum(1 << k for k in t.pos[x][y][i])
 
 
 def test_ridge_c_demo(demo_tables):
