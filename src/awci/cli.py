@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 validation/format error,
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from contextlib import contextmanager
 
@@ -137,8 +138,11 @@ def cmd_ingest(args) -> int:
         records = parse_homology(fh, args.homology)
     table = HomologyTable(records, gene_orders, contig_breaks)
     dataset = homology_to_strings(table, args.threshold)
+    # encode in full first, so an unencodable label leaves no partial file
+    buf = io.StringIO()
+    write_ist(dataset, buf)
     with open_out(args.out) as fh:
-        write_ist(dataset, fh)
+        fh.write(buf.getvalue())
     return EXIT_OK
 
 

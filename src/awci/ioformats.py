@@ -105,7 +105,11 @@ def write_ist(dataset: Dataset, fh: IO[str]) -> int:
             if any(not l or l.split() != [l] for l in labels):
                 raise FormatError(f"string {s.id!r}: label not IST-encodable at "
                                   f"position {p}")
-            emit(" ".join(labels))
+            line = " ".join(labels)
+            if line.startswith(("%", ">")) or line == "#":
+                raise FormatError(f"string {s.id!r}: position {p} would be read back "
+                                  f"as a comment, header or contig break: {line!r}")
+            emit(line)
             if p in s.contig_breaks:
                 emit("#")
     return count
@@ -128,7 +132,14 @@ class HomologyTable:
     contig_breaks: dict[str, list[int]]        # genome -> break positions
 
     def validate(self) -> None:
-        gene_pos = {g: set(order) for g, order in self.gene_orders.items()}
+        gene_pos: dict[str, dict[str, int]] = {}
+        for genome, order in self.gene_orders.items():
+            first = gene_pos[genome] = {}
+            for idx, gene in enumerate(order, start=1):
+                if gene in first:
+                    raise ValidationError(f"genome {genome!r}: gene {gene!r} listed "
+                                          f"twice, at positions {first[gene]} and {idx}")
+                first[gene] = idx
         for rec in self.records:
             if not math.isfinite(rec.score) or rec.score < 0:
                 raise ValidationError(f"bad score {rec.score} for "

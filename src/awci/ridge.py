@@ -14,11 +14,20 @@ Ridges are mapped to bit slots; a slot is recycled once its ridge has not
 been observed within `delta` trivial indels of the current reference
 position, which keeps the vectors narrow without aliasing inside any window
 the sweep can compare.
+
+The construction visits only the reference positions that hit S_y; every
+other vector is 0. The recycling a skipped position would have done is
+deferred to the next hit position, and that is exact: the Ridge^c level of
+the reference never falls, so every slot free at the skipped position is
+also free at the next hit, and nothing is observed in between; the free
+slots form a min-heap, whose pops depend only on the set of slots pushed
+before them, not on when they were pushed.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from heapq import heappop, heappush
+from itertools import compress
 
 from .model import AwciError, SearchParams
 from .tables import PairTables
@@ -36,25 +45,18 @@ class RidgeT:
         self.slot_ridges = slot_ridges  # per-j slot -> ridge map when tracking
 
 
-def ridge_levels(tables: PairTables, y: int, x: int) -> list[int | None]:
-    """Ridge id of every position of S_y w.r.t. S_x (None for trivial indels).
-
-    The id is the trivial-indel prefix count at the position; contig breaks
-    produce huge jumps, so ids are unique per (ridge, contig).
-    """
-    rc = tables.ridge_c[y][x]
-    pos = tables.pos[y][x]
-    out: list[int | None] = [None]
-    for k in range(1, len(rc)):
-        out.append(rc[k] if pos[k] else None)
-    return out
-
-
 def build_ridge_t(tables: PairTables, x: int, y: int, delta: int,
                   track_slots: bool = False) -> RidgeT:
-    """Left-to-right construction with slot reuse outside the delta window."""
-    levels = ridge_levels(tables, y, x)
-    existing = sorted({lv for lv in levels if lv is not None})
+    """Left-to-right construction with slot reuse outside the delta window.
+
+    Only positions j of S_x that hit S_y are visited; every other vec[j] is 0.
+    The ridge level of a hit position k of S_y is ridge_c[y][x][k], its
+    trivial-indel prefix count (contig breaks make the levels unique per
+    ridge and contig).
+    """
+    rc_yx = tables.ridge_c[y][x]
+    # levels of the hit positions of S_y, ascending because rc_yx never falls
+    existing = list(dict.fromkeys(compress(rc_yx, tables.hitmask[y][x])))
     # dilation: every existing ridge at most delta trivial indels away
     neighbors: dict[int, tuple[int, ...]] = {}
     for lv in existing:
@@ -70,21 +72,21 @@ def build_ridge_t(tables: PairTables, x: int, y: int, delta: int,
     last_seen: dict[int, int] = {}  # ridge level -> rc_xy level at last observation
     free: list[int] = []
     width = 0
-    vec: list[int] = [0]
-    slot_ridges: list[dict[int, int]] | None = [{}] if track_slots else None
+    vec = [0] * (n_x + 1)
+    slot_ridges: list[dict[int, int]] | None = (
+        [{} for _ in range(n_x + 1)] if track_slots else None)
 
-    for j in range(1, n_x + 1):
+    for j in compress(range(n_x + 1), tables.hitmask[x][y]):
         level_j = rc_xy[j]
-        # recycle slots whose ridges fell out of the reuse window
+        # recycle slots whose ridges fell out of the reuse window, including
+        # those the skipped positions before j would have freed
         for lv in [lv for lv, seen in last_seen.items() if level_j - seen > delta]:
             heappush(free, slot_of.pop(lv))
             del last_seen[lv]
 
         reached: set[int] = set()
         for k in pos_xy[j]:
-            lv = levels[k]
-            assert lv is not None
-            reached.update(neighbors[lv])
+            reached.update(neighbors[rc_yx[k]])
 
         bits = 0
         j_map: dict[int, int] = {}
@@ -98,9 +100,9 @@ def build_ridge_t(tables: PairTables, x: int, y: int, delta: int,
             last_seen[lv] = level_j
             bits |= 1 << slot
             j_map[slot] = lv
-        vec.append(bits)
+        vec[j] = bits
         if slot_ridges is not None:
-            slot_ridges.append(j_map)
+            slot_ridges[j] = j_map
 
     return RidgeT(vec, width, slot_ridges)
 

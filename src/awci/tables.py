@@ -13,8 +13,16 @@ shared read-only afterwards:
 
 Contig breaks of S_x are folded into ridge_c as huge additive steps, so any
 difference across a break exceeds every realistic indel budget.
+
+The work per ordered pair follows shared occurrences, not positions: every
+list starts as its default for a position hitting nothing (one shared empty
+row, mask 0, a ridge_c step of 1), made by list multiplication or copied
+from one per-string step list, and only the occurrences in S_x of the
+characters S_x and S_y share are visited to overwrite it.
 """
 from __future__ import annotations
+
+from itertools import accumulate
 
 from .model import AwciError, Dataset, RangeError
 
@@ -47,45 +55,39 @@ class PairTables:
             occ.append(d)
             occ_bits.append(b)
 
-        # rows are shared read-only, so every position hitting nothing
-        # gets the same empty row
+        # defaults of a position hitting nothing; a step of 1 per position
+        # plus BREAK_COST at the first position after each break
         empty: list[int] = []
         self.pos: list[list[list[list[int]] | None]] = [[None] * m for _ in range(m)]
         self.hitmask: list[list[list[int] | None]] = [[None] * m for _ in range(m)]
         self.ridge_c: list[list[list[int] | None]] = [[None] * m for _ in range(m)]
         for x in range(m):
             sx = dataset[x]
+            n = len(sx)
+            steps_x = [0] + [1] * n
+            for b in sx.contig_breaks:
+                steps_x[b + 1] += BREAK_COST
             for y in range(m):
                 if x == y:
                     continue
                 oy, by = occ[y], occ_bits[y]
-                rows: list[list[int]] = [empty]  # index 0 unused
-                masks = [0]
-                for chars in sx.positions:
-                    found = [c for c in chars if c in oy]
-                    if not found:
-                        rows.append(empty)
-                        masks.append(0)
-                    elif len(found) == 1:
-                        rows.append(oy[found[0]])
-                        masks.append(by[found[0]])
-                    else:
-                        rows.append(sorted(set().union(*[oy[c] for c in found])))
-                        mask = 0
-                        for c in found:
-                            mask |= by[c]
-                        masks.append(mask)
+                rows: list[list[int]] = [empty] * (n + 1)  # index 0 unused
+                masks = [0] * (n + 1)
+                steps = steps_x.copy()
+                for c in occ[x].keys() & oy.keys():
+                    row, bits = oy[c], by[c]
+                    for p in occ[x][c]:
+                        if masks[p]:
+                            # hit through a second character: sorted union row
+                            rows[p] = sorted({*rows[p], *row})
+                            masks[p] |= bits
+                        else:
+                            rows[p] = row
+                            masks[p] = bits
+                            steps[p] -= 1
                 self.pos[x][y] = rows
                 self.hitmask[x][y] = masks
-
-                rc = [0]
-                breaks = sx.contig_breaks
-                for p in range(1, len(sx) + 1):
-                    step = 0 if rows[p] else 1
-                    if p > 1 and (p - 1) in breaks:
-                        step += BREAK_COST
-                    rc.append(rc[-1] + step)
-                self.ridge_c[x][y] = rc
+                self.ridge_c[x][y] = list(accumulate(steps))
 
 
 def build_pos_tables(dataset: Dataset) -> PairTables:

@@ -92,6 +92,35 @@ def test_ingest_command(tmp_path, capsys):
                      "--genes", "nonsense"]) == 1
 
 
+def test_ingest_rejects_gene_listed_twice(tmp_path, capsys):
+    (tmp_path / "ga.genes").write_text("g1\ng2\ng1\n")
+    (tmp_path / "gb.genes").write_text("h1\n")
+    (tmp_path / "hits.tsv").write_text("Ga\tg1\tGb\th1\t1.0\n")
+    out = tmp_path / "out.ist"
+    rc = cli.main(["ingest", "--homology", str(tmp_path / "hits.tsv"),
+                   "--genes", f"Ga={tmp_path}/ga.genes",
+                   "--genes", f"Gb={tmp_path}/gb.genes", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'Ga'" in err and "'g1'" in err and "positions 1 and 3" in err
+    assert not out.exists()
+
+
+def test_ingest_rejects_genome_name_read_back_as_comment(tmp_path, capsys):
+    # every gene of genome %G carries the private label "%G.<gene>", which
+    # sorts first on its line and would make the line a comment
+    (tmp_path / "ga.genes").write_text("g1\n")
+    (tmp_path / "gb.genes").write_text("h1\n")
+    (tmp_path / "hits.tsv").write_text("Gb\th1\t%G\tg1\t1.0\n")
+    out = tmp_path / "out.ist"
+    rc = cli.main(["ingest", "--homology", str(tmp_path / "hits.tsv"),
+                   "--genes", f"%G={tmp_path}/ga.genes",
+                   "--genes", f"Gb={tmp_path}/gb.genes", "--out", str(out)])
+    assert rc == 2
+    assert "'%G'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_command_small(tmp_path):
     out = str(tmp_path / "bench.tsv")
     rc = cli.main(["bench", "--m-list", "3", "--delta-list", "0", "--n", "60",

@@ -79,6 +79,25 @@ def test_write_ist_rejects_unencodable_labels():
         write_ist(ds, io.StringIO())
 
 
+def test_ist_roundtrip_markup_characters_inside_a_line():
+    # a line is markup only when it starts with '%' or '>' or is a lone '#'
+    ds = make_dataset(("G", [["a"], ["#", "%x"], ["0", ">y"], ["#x"]]))
+    back = roundtrip(ds)
+    assert [{back.alphabet.label(c) for c in p} for p in back["G"].positions] == \
+        [{"a"}, {"#", "%x"}, {"0", ">y"}, {"#x"}]
+
+
+@pytest.mark.parametrize("positions,p", [
+    ([["%x"], ["b"], ["#"], [">y", "c"]], 1),   # a comment
+    ([["a"], [">y", "c"]], 2),                  # a string header
+    ([["a"], ["b"], ["#"]], 3),                 # a contig break
+])
+def test_write_ist_rejects_lines_read_back_as_markup(positions, p):
+    with pytest.raises(FormatError) as exc:
+        write_ist(make_dataset(("G", positions)), io.StringIO())
+    assert "'G'" in str(exc.value) and f"position {p}" in str(exc.value)
+
+
 def test_gene_order_parse():
     genes, breaks = parse_gene_order(io.StringIO("g1\ng2\n#\ng3\n% note\n"))
     assert genes == ["g1", "g2", "g3"]
@@ -146,6 +165,15 @@ def test_homology_threshold_and_order_independence():
     for sa, sb in zip(a, b):
         assert [{a.alphabet.label(c) for c in sa.at(p)} for p in range(1, len(sa) + 1)] \
             == [{b.alphabet.label(c) for c in sb.at(p)} for p in range(1, len(sb) + 1)]
+
+
+def test_homology_gene_listed_twice_rejected():
+    table = homology_fixture()
+    table.gene_orders["Ga"] = ["g1", "g2", "g1"]
+    with pytest.raises(ValidationError) as exc:
+        homology_to_strings(table, threshold=0.0)
+    msg = str(exc.value)
+    assert "'Ga'" in msg and "'g1'" in msg and "positions 1 and 3" in msg
 
 
 def test_homology_contig_breaks_carried():

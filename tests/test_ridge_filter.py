@@ -1,9 +1,9 @@
 import pytest
 
 from awci.model import AwciError, SearchParams
-from awci.ridge import FilterState, build_all_ridge_t, build_ridge_t, filter_position, ridge_levels
+from awci.ridge import FilterState, build_all_ridge_t, build_ridge_t, filter_position
 from awci.synth import random_instance
-from awci.tables import build_pos_tables
+from awci.tables import BREAK_COST, build_pos_tables
 from conftest import make_dataset
 
 
@@ -19,7 +19,7 @@ def test_width_one_for_fully_shared_pair():
 def test_demo_pair_single_ridge(demo):
     t = build_pos_tables(demo)
     # no S3 position is a trivial indel against S1, so S3 has one ridge
-    assert all(lv is not None for lv in ridge_levels(t, 2, 0)[1:])
+    assert all(t.hitmask[2][0][1:])
     rt = build_ridge_t(t, 0, 2, 1)
     assert rt.width == 1
 
@@ -69,6 +69,36 @@ def test_slot_reuse_never_aliases_within_window():
                             m1, m2 = rt.slot_ridges[j1], rt.slot_ridges[j2]
                             for slot in m1.keys() & m2.keys():
                                 assert m1[slot] == m2[slot]
+
+
+def test_slots_hold_dilated_levels_of_hits():
+    # the level of a position k of S_y against S_x is the number of trivial
+    # indels of S_y up to k plus BREAK_COST per contig break before k
+    for seed in range(40):
+        ds = random_instance(seed, break_prob=0.3)
+        t = build_pos_tables(ds)
+        for x in range(len(ds)):
+            for y in range(len(ds)):
+                if x == y:
+                    continue
+                sx, sy = ds[x], ds[y]
+                shared = sx.char_set()
+                hit = [k for k in range(1, len(sy) + 1) if sy.at(k) & shared]
+                level = {}
+                for k in hit:
+                    level[k] = (sum(1 for q in range(1, k + 1) if not sy.at(q) & shared)
+                                + BREAK_COST * sum(1 for b in sy.contig_breaks if b < k))
+                for delta in (0, 1, 2):
+                    rt = build_ridge_t(t, x, y, delta, track_slots=True)
+                    assert len(rt.vec) == len(rt.slot_ridges) == len(sx) + 1
+                    for j in range(1, len(sx) + 1):
+                        reached = {level[k2] for k in hit if sx.at(j) & sy.at(k)
+                                   for k2 in hit if abs(level[k2] - level[k]) <= delta}
+                        j_map = rt.slot_ridges[j]
+                        assert sorted(j_map.values()) == sorted(reached)
+                        assert rt.vec[j] == sum(1 << slot for slot in j_map)
+                        if not t.pos[x][y][j]:
+                            assert rt.vec[j] == 0 and not j_map
 
 
 def fresh_state(ds, x, delta, i):

@@ -35,15 +35,20 @@ def test_pos_rows_sorted_and_correct(demo, demo_tables):
 
 
 def test_pos_duality():
-    for seed in range(20):
-        ds = random_instance(seed)
+    # break_prob=0.3 gives multi-character positions, breaks and 1-long strings
+    for seed in range(40):
+        ds = random_instance(seed, break_prob=0.3)
         t = build_pos_tables(ds)
         m = len(ds)
         for x in range(m):
             for y in range(m):
                 if x == y:
                     continue
-                for i in range(1, len(ds[x]) + 1):
+                sx, sy = ds[x], ds[y]
+                assert len(t.pos[x][y]) == len(t.hitmask[x][y]) == len(sx) + 1
+                for i in range(1, len(sx) + 1):
+                    expect = [k for k in range(1, len(sy) + 1) if sx.at(i) & sy.at(k)]
+                    assert t.pos[x][y][i] == expect
                     for k in t.pos[x][y][i]:
                         assert i in t.pos[y][x][k]
                     assert t.hitmask[x][y][i] == sum(1 << k for k in t.pos[x][y][i])
@@ -63,18 +68,22 @@ def test_ridge_c_identical_strings():
 
 
 def test_ridge_c_steps_match_empty_rows():
-    for seed in range(20):
-        ds = random_instance(seed)
+    for seed in range(40):
+        ds = random_instance(seed, break_prob=0.3)
         t = build_pos_tables(ds)
         for x in range(len(ds)):
+            breaks = ds[x].contig_breaks
             for y in range(len(ds)):
                 if x == y:
                     continue
                 rc = t.ridge_c[x][y]
+                assert len(rc) == len(ds[x]) + 1 and rc[0] == 0
                 for p in range(1, len(ds[x]) + 1):
                     step = rc[p] - rc[p - 1]
                     assert step % BREAK_COST in (0, 1)
                     assert (step % BREAK_COST == 1) == (not t.pos[x][y][p])
+                    # the break cost sits on the first position after a break
+                    assert (step // BREAK_COST == 1) == (p > 1 and (p - 1) in breaks)
 
 
 def test_same_ridge_demo(demo_tables):
