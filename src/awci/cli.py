@@ -126,12 +126,20 @@ def _load_dataset(path: str):
 
 
 def cmd_ingest(args) -> int:
-    gene_orders = {}
-    contig_breaks = {}
+    specs = []
     for spec in args.genes:
         genome, _, path = spec.partition("=")
         if not genome or not path:
             raise UsageError(f"--genes expects GENOME=FILE, got {spec!r}")
+        if genome[0] in "#%":
+            # parse_homology skips such lines, and the genome's private
+            # labels would read back from the IST output as comments
+            raise ValidationError(f"genome name {genome!r} begins with "
+                                  f"{genome[0]!r}, which marks a comment line")
+        specs.append((genome, path))
+    gene_orders = {}
+    contig_breaks = {}
+    for genome, path in specs:
         with open(path) as fh:
             gene_orders[genome], contig_breaks[genome] = parse_gene_order(fh, path)
     with open(args.homology) as fh:

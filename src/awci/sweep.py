@@ -7,6 +7,13 @@ the reference interval [i, j] as the window W of bits i..j, the hits of a
 trans position p are `hitmask[y][x][p] & W`, a candidate interval's state is
 the union of its positions' hits plus a count of positions that hit nothing,
 and the acceptance and endpoint tests are a few int operations each.
+
+Endpoint anchoring also prunes the work before it is spent: an interval of
+S_y pairs with [i, j]_x only if S_y hits both i and j, so a unit, a right
+bound or a trans string that too few strings hit at its endpoints is skipped
+without running the filter, collecting anchors or walking intervals; strings
+that count towards the quorum but are not reported are only tested for one
+interval. `enumerate_pairs` lists the steps and why each is exact.
 """
 from __future__ import annotations
 
@@ -101,6 +108,14 @@ def enumerate_trans_intervals(tables: PairTables, x: int, i: int, j: int,
     it hits some position of the other interval, so these are the non-indel
     count of the left side and the indel count of the right.
     """
+    return sorted(_trans_walk(tables, x, i, j, y, anchors, params))
+
+
+def _trans_walk(tables: PairTables, x: int, i: int, j: int, y: int,
+                anchors: list[int], params: SearchParams
+                ) -> Iterator[tuple[int, int, int, int]]:
+    """The results of `enumerate_trans_intervals` in walk order, one at a
+    time, so that an existence test can stop at the first."""
     sy = tables.dataset[y]
     masks = tables.hitmask[y][x]
     delta = params.delta
@@ -109,7 +124,6 @@ def enumerate_trans_intervals(tables: PairTables, x: int, i: int, j: int,
     w = window(i, j)
     ends = (1 << i) | (1 << j)
 
-    out: list[tuple[int, int, int, int]] = []
     p_prev = 0
     for p in anchors:
         if not masks[p] & w:
@@ -148,9 +162,7 @@ def enumerate_trans_intervals(tables: PairTables, x: int, i: int, j: int,
                 covered = u.bit_count()
                 # acceptance, then anchoring of the reference endpoints i and j
                 if span - covered + d <= delta and (u & ends) == ends:
-                    out.append((k, l, covered, d))
-    out.sort()
-    return out
+                    yield k, l, covered, d
 
 
 def refine_bounds(tables: PairTables, x: int, i: int,
@@ -224,6 +236,28 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
     (unless grouping is disabled). Pairs are reported once, with the left
     interval on the lower-indexed string.
 
+    Work is spent only where a pair can be anchored. An interval of S_y can
+    pair with [i, j]_x only if it hits both endpoints i and j, so a string
+    whose hit mask is 0 at i or at j has no interval for [i, j]. The group of
+    a unit (x, i) is every other string with grouping, the strings after x
+    without; it needs q_eff - 1 of them with intervals (q_eff is the quorum
+    with grouping, 2 without). Hence, each step dropping only work that
+    cannot yield a pair:
+
+      * a unit whose group has fewer than q_eff - 1 strings hitting i stops
+        before the filter (with the filter on, this is its own j = i step);
+      * a unit whose longest right-bound candidate is shorter than
+        `min_size` stops before anchors are collected;
+      * anchors, and so the reach that `refine_bounds` caps J with, are
+        built only for the strings hitting i: any q_eff - 1 strings with
+        intervals for [i, j] are among them, and each one's reach is >= j;
+      * a right bound j is skipped when fewer than q_eff - 1 of those strings
+        also hit j, or when no string after x has an interval for [i, j],
+        since only those are reported;
+      * with grouping, the strings before x count towards the quorum but are
+        never reported, so each is only tested for an interval (the walk
+        stops at the first), and only until the quorum is reached.
+
     Each pair is built from the sweep's own counts; only its common set is
     computed, from character-set unions cached per interval. With `verify`,
     every pair is re-derived by `oracle.make_pair` and a disagreement raises
@@ -242,13 +276,16 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
 
     def run_unit(unit: tuple[int, int]) -> list[AwciPair]:
         x, i = unit
+        hits = tables.hitmask[x]
+        group = range(m) if quorum_grouping else range(x + 1, m)
+        live = [y for y in group if y != x and hits[y][i]]
+        if len(live) < q_eff - 1:
+            return []
         state = FilterState(m, x, params.delta) if use_filter else None
         J = candidate_right_bounds(tables, ridge_t, x, i, params, q_eff, state)
-        if not J:
+        if not J or J[-1] - i + 1 < params.min_size:
             return []
-        others = [y for y in range(m) if y != x] if quorum_grouping \
-            else [y for y in range(m) if y > x]
-        anchors = {y: collect_anchors(tables, x, y, i, params.delta) for y in others}
+        anchors = {y: collect_anchors(tables, x, y, i, params.delta) for y in live}
         if refine:
             J = refine_bounds(tables, x, i, anchors, J, params, q_eff)
         found: list[AwciPair] = []
@@ -257,17 +294,29 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
         for j in J:
             if j - i + 1 < params.min_size:
                 continue
-            ints = {y: enumerate_trans_intervals(tables, x, i, j, y, anchors[y], params)
-                    for y in others}
+            live_j = [y for y in live if hits[y][j]]
+            if len(live_j) < q_eff - 1:
+                continue
+            ints = [(y, found_y) for y in live_j if y > x
+                    if (found_y := enumerate_trans_intervals(
+                        tables, x, i, j, y, anchors[y], params))]
+            if not ints:
+                continue
             if quorum_grouping:
-                coverage = sum(1 for y in others if ints[y])
+                coverage = len(ints)
+                for y in live_j:
+                    if y > x or coverage >= params.quorum - 1:
+                        break
+                    if next(_trans_walk(tables, x, i, j, y, anchors[y], params),
+                            None) is not None:
+                        coverage += 1
                 if coverage < params.quorum - 1:
                     continue
             left = AnchoredInterval(sx.id, i, j)
             left_set = sx.char_set(i, j)
-            for y in sorted(y for y in others if y > x):
+            for y, found_y in ints:
                 sy = dataset[y]
-                for (k, l, covered, d) in ints[y]:
+                for (k, l, covered, d) in found_y:
                     right_set = right_sets.get((y, k, l))
                     if right_set is None:
                         right_set = right_sets[y, k, l] = sy.char_set(k, l)

@@ -121,6 +121,19 @@ def test_ingest_rejects_genome_name_read_back_as_comment(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ingest_rejects_genome_name_read_as_homology_comment(tmp_path, capsys):
+    # a hit line "#G\tg1\t..." is a comment to parse_homology; the name is
+    # refused before any file is opened, so the missing files are never read
+    out = tmp_path / "out.ist"
+    rc = cli.main(["ingest", "--homology", str(tmp_path / "hits.tsv"),
+                   "--genes", f"Gb={tmp_path}/gb.genes",
+                   "--genes", f"#G={tmp_path}/ga.genes", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'#G'" in err and "i/o error" not in err
+    assert not out.exists()
+
+
 def test_bench_command_small(tmp_path):
     out = str(tmp_path / "bench.tsv")
     rc = cli.main(["bench", "--m-list", "3", "--delta-list", "0", "--n", "60",

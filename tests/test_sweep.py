@@ -1,4 +1,5 @@
 import io
+from collections import defaultdict
 from itertools import combinations
 
 from awci.ioformats import write_pairs
@@ -190,6 +191,30 @@ def test_enumerate_pairs_matches_oracle_with_filter():
                                         use_filter=False)) == expected
 
 
+def test_enumerate_pairs_grouped_matches_oracle():
+    # with grouping, a pair is reported iff its left interval pairs with
+    # intervals of at least quorum - 1 distinct strings, on either side
+    cases = nonempty = 0
+    for seed in range(60):
+        ds = random_instance(seed)
+        for delta in (0, 1, 2):
+            for min_size in (1, 2, 3):
+                reference = brute_force_pairs(ds, SearchParams(delta=delta,
+                                                               min_size=min_size))
+                partners = defaultdict(set)
+                for p in reference:
+                    partners[p.left].add(p.right.string_id)
+                    partners[p.right].add(p.left.string_id)
+                for quorum in range(2, len(ds) + 1):
+                    params = SearchParams(delta=delta, quorum=quorum, min_size=min_size)
+                    expected = [p for p in reference
+                                if len(partners[p.left]) >= quorum - 1]
+                    assert list(enumerate_pairs(ds, params)) == expected, (seed, params)
+                    cases += 1
+                    nonempty += bool(expected)
+    assert (cases, nonempty) == (1071, 916)
+
+
 def test_enumerate_pairs_quorum_grouping_subset_of_oracle(demo):
     params = SearchParams(delta=1, quorum=3, min_size=6)
     grouped = list(enumerate_pairs(demo, params))
@@ -206,12 +231,16 @@ def serialize(pairs):
 
 
 def test_enumerate_pairs_thread_count_invariant():
+    cases = [(SearchParams(delta=1, quorum=2, min_size=1), False),
+             (SearchParams(delta=1, quorum=3, min_size=2), True)]
     for seed in (0, 5, 11):
         ds = random_instance(seed, max_n=10)
-        params = SearchParams(delta=1, quorum=2, min_size=1)
-        one = serialize(enumerate_pairs(ds, params, quorum_grouping=False, threads=1))
-        four = serialize(enumerate_pairs(ds, params, quorum_grouping=False, threads=4))
-        assert one == four
+        for params, grouping in cases:
+            one = serialize(enumerate_pairs(ds, params, quorum_grouping=grouping,
+                                            threads=1))
+            four = serialize(enumerate_pairs(ds, params, quorum_grouping=grouping,
+                                             threads=4))
+            assert one == four
 
 
 def test_enumerate_pairs_verify_path_same_output(demo):
