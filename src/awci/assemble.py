@@ -20,6 +20,9 @@ from .oracle import AwciPair, AwciSet, is_closed_set
 
 log = logging.getLogger(__name__)
 
+# Members a non-closed clique may lose in the search for closed sub-cliques.
+DESCENT_BUDGET = 2
+
 
 class AwciGraph:
     """Deduplicated interval vertices plus pair edges, string-partitioned."""
@@ -202,13 +205,12 @@ def is_closed_clique(masks: list[tuple[int, ...]], clique: Sequence[int]) -> boo
 
 
 def maximal_closed_sets(graph: AwciGraph, params: SearchParams, *,
-                        descent_budget: int = 2,
                         clique_guard: int = 2_000_000) -> list[AwciSet]:
     """Enumerate closed interval sets that are maximal among closed sets.
 
     Each maximal clique spanning at least `quorum` strings is tested for
     closedness; non-closed cliques are probed for closed sub-cliques missing
-    at most `descent_budget` members. Finally any closed set contained in a
+    at most `DESCENT_BUDGET` members. Finally any closed set contained in a
     larger collected closed set is dropped. One warning gives the number of
     non-closed cliques whose descent the budget cut short.
     """
@@ -222,9 +224,9 @@ def maximal_closed_sets(graph: AwciGraph, params: SearchParams, *,
         if is_closed_clique(masks, clique):
             candidates.add(clique)
             continue
-        if len(clique) - params.quorum > descent_budget:
+        if len(clique) - params.quorum > DESCENT_BUDGET:
             over_budget += 1
-        max_drop = min(descent_budget, len(clique) - params.quorum)
+        max_drop = min(DESCENT_BUDGET, len(clique) - params.quorum)
         for drop in range(1, max_drop + 1):
             for sub in combinations(clique, len(clique) - drop):
                 if is_closed_clique(masks, sub):
@@ -233,7 +235,7 @@ def maximal_closed_sets(graph: AwciGraph, params: SearchParams, *,
         log.warning(
             "%d non-closed cliques exceed the descent budget of %d; their closed "
             "sub-cliques missing more than %d members were not probed",
-            over_budget, descent_budget, descent_budget)
+            over_budget, DESCENT_BUDGET, DESCENT_BUDGET)
 
     ordered = sorted(candidates)
     closed_sets = [frozenset(c) for c in ordered]
@@ -249,16 +251,23 @@ def maximal_closed_sets(graph: AwciGraph, params: SearchParams, *,
 
 
 def assemble(pairs: Iterable[AwciPair], dataset: Dataset, params: SearchParams, *,
-             prune: bool = True, descent_budget: int = 2,
-             verify: bool = False) -> list[AwciSet]:
-    """Full pipeline from a pair stream to reported maximal closed sets."""
+             prune: bool = True, verify: bool = False) -> list[AwciSet]:
+    """Full pipeline from a pair stream to reported maximal closed sets.
+
+    With `verify`, every reported set is re-checked by `oracle.is_awci_set`
+    and `oracle.is_closed_set`, and a set failing either raises
+    AssertionError naming it.
+    """
     graph = build_graph(pairs, dataset, params)
     if prune:
         graph = prune_dominated_vertices(graph)
-    sets = maximal_closed_sets(graph, params, descent_budget=descent_budget)
+    sets = maximal_closed_sets(graph, params)
     if verify:
         from .oracle import is_awci_set
         for s in sets:
-            assert is_awci_set(dataset, s.members, params.delta)
-            assert is_closed_set(dataset, s.members, params.delta)
+            names = ", ".join(map(str, s.members))
+            if not is_awci_set(dataset, s.members, params.delta):
+                raise AssertionError(f"reported set {{{names}}} is not an AWCI set")
+            if not is_closed_set(dataset, s.members, params.delta):
+                raise AssertionError(f"reported set {{{names}}} is not closed")
     return sets

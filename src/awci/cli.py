@@ -50,7 +50,6 @@ def build_parser() -> Parser:
         p.add_argument("--delta", type=int, default=0)
         p.add_argument("--quorum", type=int, default=2)
         p.add_argument("--min-size", type=int, default=0)
-        p.add_argument("--refine-iters", type=int, default=3)
         p.add_argument("--threads", type=int, default=1)
         p.add_argument("--no-filter", action="store_true",
                        help="disable the ridge filter (slower, same output)")
@@ -117,7 +116,7 @@ def open_out(path: str):
 
 def _params(args) -> SearchParams:
     return SearchParams(delta=args.delta, quorum=args.quorum,
-                        min_size=args.min_size, refine_iters=args.refine_iters)
+                        min_size=args.min_size)
 
 
 def _load_dataset(path: str):
@@ -213,8 +212,9 @@ def cmd_bench(args) -> int:
 def verify_seed(seed: int, delta: int, min_size: int) -> list[str]:
     """Oracle differential of one seed; returns the mismatches found.
 
-    Pairs: the sweep (filter on, every pair re-derived by `make_pair`, and
-    filter off) against `brute_force_pairs` on `random_instance(seed)`.
+    Pairs: the sweep at quorum 2, which reports every pair (filter on with
+    every pair re-derived by `make_pair`, and filter off), against
+    `brute_force_pairs` on `random_instance(seed)`.
     Sets: `assemble` against `brute_force_maximal_closed_sets` on the smaller
     `random_instance(seed, max_n=10)`, at quorum 2 or 3.
     """
@@ -223,15 +223,13 @@ def verify_seed(seed: int, delta: int, min_size: int) -> list[str]:
     params = SearchParams(delta=delta, quorum=2, min_size=min_size)
     expected = brute_force_pairs(dataset, params)
     try:
-        got = list(enumerate_pairs(dataset, params, quorum_grouping=False,
-                                   verify=True))
+        got = list(enumerate_pairs(dataset, params, verify=True))
     except AssertionError as exc:
         problems.append(str(exc))
     else:
         if got != expected:
             problems.append(f"{len(got)} vs {len(expected)} pairs")
-    got_off = list(enumerate_pairs(dataset, params, quorum_grouping=False,
-                                   use_filter=False))
+    got_off = list(enumerate_pairs(dataset, params, use_filter=False))
     if got_off != expected:
         problems.append(f"{len(got_off)} vs {len(expected)} pairs without filter")
 

@@ -5,7 +5,7 @@ after construction and safe to share between worker threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 
@@ -113,7 +113,9 @@ class IndeterminateString:
         """Union of the sets at positions i..j (whole string by default)."""
         if i is None and j is None:
             i, j = 1, len(self.positions)
-        assert i is not None and j is not None
+        elif i is None or j is None:
+            raise RangeError(f"string {self.id!r}: interval needs both bounds, "
+                             f"got [{i}, {j}]")
         if i > j or i < 1 or j > len(self.positions):
             raise RangeError(f"string {self.id!r}: invalid interval [{i}, {j}]")
         out: set[int] = set()
@@ -225,14 +227,13 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SearchParams:
-    """Search parameters: indel budget, quorum, minimum interval size, refinement cap.
+    """Search parameters: indel budget, quorum, minimum interval size.
 
     `min_size` is the minimum length of each interval of a reported pair.
     """
     delta: int = 0
     quorum: int = 2
     min_size: int = 0
-    refine_iters: int = 3
 
     def __post_init__(self) -> None:
         if self.delta < 0:
@@ -241,5 +242,3 @@ class SearchParams:
             raise ValidationError("quorum must be >= 2")
         if self.min_size < 0:
             raise ValidationError("min_size must be >= 0")
-        if self.refine_iters < 1:
-            raise ValidationError("refine_iters must be >= 1")

@@ -149,21 +149,21 @@ class FilterState:
 
 def filter_position(tables: PairTables, ridge_t: list[list[RidgeT | None]],
                     x: int, i: int, j: int, state: FilterState,
-                    params: SearchParams, q_eff: int | None = None) -> bool:
+                    params: SearchParams) -> bool:
     """Advance the sweep to position j; True iff quorum is still reachable.
 
-    For each live trans string the per-ridge miss counters are updated from
-    the position's bit vector; a string still counts as a candidate when some
-    active ridge has accumulated at most `delta` misses. Requires q_eff - 1
-    candidate strings (q_eff defaults to the params quorum).
+    Every trans string y != x is considered, before or after x. A string dies
+    once more than `delta` positions of (i, j] share nothing with S_y
+    (`ridge_c[x][y][j] - ridge_c[x][y][i] > delta`). For each live string
+    the per-ridge miss counters are updated from the position's bit vector;
+    it still counts as a candidate when some active ridge has accumulated at
+    most `delta` misses. Requires params.quorum - 1 candidate strings.
     """
     if state.left != i or j <= state.j_prev:
         raise AwciError("filter state out of sync: reset at each left bound, "
                         "then call with strictly increasing j")
     state.j_prev = j
     delta = params.delta
-    if q_eff is None:
-        q_eff = params.quorum
     charge = min(j - i, delta + 1)
     candidates = 0
     for y in range(state.m):
@@ -195,4 +195,4 @@ def filter_position(tables: PairTables, ridge_t: list[list[RidgeT | None]],
         state.active[y] = active
         if active & ~dv[delta]:
             candidates += 1
-    return candidates >= q_eff - 1
+    return candidates >= params.quorum - 1

@@ -23,12 +23,12 @@ from typing import Iterator
 
 from .model import AnchoredInterval, Dataset, SearchParams
 from .oracle import AwciPair, make_pair
-from .ridge import FilterState, RidgeT, build_all_ridge_t, filter_position
+from .ridge import FilterState, build_all_ridge_t, filter_position
 from .tables import PairTables, build_pos_tables
 
 
 def candidate_right_bounds(tables: PairTables, ridge_t, x: int, i: int,
-                           params: SearchParams, q_eff: int,
+                           params: SearchParams,
                            state: FilterState | None = None) -> list[int]:
     """Right-bound candidates J for left bound i, grown until the filter fails.
 
@@ -41,7 +41,7 @@ def candidate_right_bounds(tables: PairTables, ridge_t, x: int, i: int,
     state.reset(i)
     J: list[int] = []
     for j in range(i, hi + 1):
-        if not filter_position(tables, ridge_t, x, i, j, state, params, q_eff):
+        if not filter_position(tables, ridge_t, x, i, j, state, params):
             break
         J.append(j)
     return J
@@ -167,13 +167,14 @@ def _trans_walk(tables: PairTables, x: int, i: int, j: int, y: int,
 
 def refine_bounds(tables: PairTables, x: int, i: int,
                   anchors: dict[int, list[int]], J: list[int],
-                  params: SearchParams, q_eff: int) -> list[int]:
+                  params: SearchParams) -> list[int]:
     """Shrink the right-bound candidates using per-anchor reachability.
 
     For each trans string, the rightmost reference position reachable from any
     anchor neighborhood bounds the right end of any pair with that string;
-    the (q_eff - 1)-th largest such bound caps J. Repeated until stable or
-    the iteration cap is hit.
+    the (quorum - 1)-th largest such bound caps J. Repeated until J stops
+    shrinking, and that fixed point is returned; each round either stops or
+    shortens J, so the loop ends.
 
     The reachable reference positions of one trans string are the union of
     the hit masks over every anchor's neighborhood, built once; each round
@@ -205,58 +206,54 @@ def refine_bounds(tables: PairTables, x: int, i: int,
                 union |= masks[k_prime]
             done = l_star
         reach.append(union)
-    if len(reach) < q_eff - 1:
+    if len(reach) < params.quorum - 1:
         return []
-    for _ in range(params.refine_iters):
-        if not J:
-            return []
+    while J:
         j_max = J[-1]
         w = window(i, j_max)
         # -1 for a string that reaches nothing in [i, j_max]
         j_stars = sorted(((u & w).bit_length() - 1 for u in reach), reverse=True)
-        r = j_stars[q_eff - 2]
+        r = j_stars[params.quorum - 2]
         if r < i:
             return []
         if r >= j_max:
-            return J
+            break
         J = J[:r - i + 1]
     return J
 
 
 def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
-                    use_filter: bool = True, refine: bool = True,
-                    quorum_grouping: bool = True, threads: int = 1,
+                    use_filter: bool = True, threads: int = 1,
                     tables: PairTables | None = None,
                     ridge_t=None, verify: bool = False) -> Iterator[AwciPair]:
     """Stream all reportable interval pairs in deterministic order.
 
     References are processed in dataset order; for each reference interval the
     trans intervals of every other string are gathered, and the group is
-    emitted only when intervals from at least quorum-1 other strings exist
-    (unless grouping is disabled). Pairs are reported once, with the left
-    interval on the lower-indexed string.
+    emitted only when intervals from at least quorum-1 other strings exist.
+    Pairs are reported once, with the left interval on the lower-indexed
+    string. At quorum 2 every pair of the oracle's `brute_force_pairs` is
+    reported.
 
     Work is spent only where a pair can be anchored. An interval of S_y can
     pair with [i, j]_x only if it hits both endpoints i and j, so a string
-    whose hit mask is 0 at i or at j has no interval for [i, j]. The group of
-    a unit (x, i) is every other string with grouping, the strings after x
-    without; it needs q_eff - 1 of them with intervals (q_eff is the quorum
-    with grouping, 2 without). Hence, each step dropping only work that
-    cannot yield a pair:
+    whose hit mask is 0 at i or at j has no interval for [i, j]. A unit (x, i)
+    needs quorum - 1 other strings with intervals. Hence, each step dropping
+    only work that cannot yield a pair:
 
-      * a unit whose group has fewer than q_eff - 1 strings hitting i stops
+      * a unit with fewer than quorum - 1 other strings hitting i stops
         before the filter (with the filter on, this is its own j = i step);
       * a unit whose longest right-bound candidate is shorter than
         `min_size` stops before anchors are collected;
       * anchors, and so the reach that `refine_bounds` caps J with, are
-        built only for the strings hitting i: any q_eff - 1 strings with
+        built only for the strings hitting i: any quorum - 1 strings with
         intervals for [i, j] are among them, and each one's reach is >= j;
-      * a right bound j is skipped when fewer than q_eff - 1 of those strings
-        also hit j, or when no string after x has an interval for [i, j],
-        since only those are reported;
-      * with grouping, the strings before x count towards the quorum but are
-        never reported, so each is only tested for an interval (the walk
-        stops at the first), and only until the quorum is reached.
+      * a right bound j is skipped when fewer than quorum - 1 of those
+        strings also hit j, or when no string after x has an interval for
+        [i, j], since only those are reported;
+      * the strings before x count towards the quorum but are never
+        reported, so each is only tested for an interval (the walk stops at
+        the first), and only until the quorum is reached.
 
     Each pair is built from the sweep's own counts; only its common set is
     computed, from character-set unions cached per interval. With `verify`,
@@ -264,30 +261,26 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
     AssertionError.
     """
     m = len(dataset)
-    if m < 2:
+    quorum = params.quorum
+    if quorum > m:
         return
     if tables is None:
         tables = build_pos_tables(dataset)
     if use_filter and ridge_t is None:
         ridge_t = build_all_ridge_t(tables, params.delta)
-    q_eff = params.quorum if quorum_grouping else 2
-    if quorum_grouping and params.quorum > m:
-        return
 
     def run_unit(unit: tuple[int, int]) -> list[AwciPair]:
         x, i = unit
         hits = tables.hitmask[x]
-        group = range(m) if quorum_grouping else range(x + 1, m)
-        live = [y for y in group if y != x and hits[y][i]]
-        if len(live) < q_eff - 1:
+        live = [y for y in range(m) if y != x and hits[y][i]]
+        if len(live) < quorum - 1:
             return []
         state = FilterState(m, x, params.delta) if use_filter else None
-        J = candidate_right_bounds(tables, ridge_t, x, i, params, q_eff, state)
+        J = candidate_right_bounds(tables, ridge_t, x, i, params, state)
         if not J or J[-1] - i + 1 < params.min_size:
             return []
         anchors = {y: collect_anchors(tables, x, y, i, params.delta) for y in live}
-        if refine:
-            J = refine_bounds(tables, x, i, anchors, J, params, q_eff)
+        J = refine_bounds(tables, x, i, anchors, J, params)
         found: list[AwciPair] = []
         sx = dataset[x]
         right_sets: dict[tuple[int, int, int], frozenset[int]] = {}
@@ -295,23 +288,22 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
             if j - i + 1 < params.min_size:
                 continue
             live_j = [y for y in live if hits[y][j]]
-            if len(live_j) < q_eff - 1:
+            if len(live_j) < quorum - 1:
                 continue
             ints = [(y, found_y) for y in live_j if y > x
                     if (found_y := enumerate_trans_intervals(
                         tables, x, i, j, y, anchors[y], params))]
             if not ints:
                 continue
-            if quorum_grouping:
-                coverage = len(ints)
-                for y in live_j:
-                    if y > x or coverage >= params.quorum - 1:
-                        break
-                    if next(_trans_walk(tables, x, i, j, y, anchors[y], params),
-                            None) is not None:
-                        coverage += 1
-                if coverage < params.quorum - 1:
-                    continue
+            coverage = len(ints)
+            for y in live_j:
+                if y > x or coverage >= quorum - 1:
+                    break
+                if next(_trans_walk(tables, x, i, j, y, anchors[y], params),
+                        None) is not None:
+                    coverage += 1
+            if coverage < quorum - 1:
+                continue
             left = AnchoredInterval(sx.id, i, j)
             left_set = sx.char_set(i, j)
             for y, found_y in ints:

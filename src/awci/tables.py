@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from .model import AwciError, Dataset, RangeError
+from .model import AwciError, Dataset
 
 # Step cost injected at contig breaks; dwarfs any usable delta.
 BREAK_COST = 1 << 40
@@ -96,15 +96,3 @@ def build_pos_tables(dataset: Dataset) -> PairTables:
         raise AwciError("need at least 2 strings")
     return PairTables(dataset)
 
-
-def same_ridge(ridge_c: list[int], i: int, j: int, delta: int) -> bool:
-    """True iff positions i..j contain at most `delta` trivial indels and no break."""
-    if not 1 <= i <= j <= len(ridge_c) - 1:
-        raise RangeError(f"invalid ridge query [{i}, {j}]")
-    diff = ridge_c[j] - ridge_c[i - 1]
-    crossed = diff // BREAK_COST
-    if i > 1 and ridge_c[i] - ridge_c[i - 1] >= BREAK_COST:
-        # the step at i carries the cost of the boundary *before* i,
-        # which [i, j] does not cross
-        crossed -= 1
-    return crossed == 0 and diff % BREAK_COST <= delta

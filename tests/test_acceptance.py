@@ -38,9 +38,8 @@ def pair_differential():
         ds = random_instance(seed)
         params = pair_params(seed)
         expected = brute_force_pairs(ds, params)
-        got = list(enumerate_pairs(ds, params, quorum_grouping=False))
-        got_off = list(enumerate_pairs(ds, params, quorum_grouping=False,
-                                       use_filter=False))
+        got = list(enumerate_pairs(ds, params))
+        got_off = list(enumerate_pairs(ds, params, use_filter=False))
         rows.append((seed, got == expected, got_off == expected, got == got_off))
     return rows, time.perf_counter() - t0
 

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from awci.assemble import (
+    DESCENT_BUDGET,
     AwciGraph,
     _maximal_cliques,
     assemble,
@@ -150,7 +155,7 @@ def test_prune_does_not_change_output():
             assemble(pairs, ds, params, prune=False)
 
 
-def mask_vs_oracle(ds, params, descent_budget=2):
+def mask_vs_oracle(ds, params):
     """Compare the mask closedness test with the oracle on every maximal
     clique and every sub-clique the descent probes. Returns the boundary
     kinds ("string_end", "contig_break") that some compared member touches."""
@@ -160,7 +165,7 @@ def mask_vs_oracle(ds, params, descent_budget=2):
     for clique in _maximal_cliques(g, 100_000):
         if len(clique) < params.quorum:
             continue
-        max_drop = min(descent_budget, len(clique) - params.quorum)
+        max_drop = min(DESCENT_BUDGET, len(clique) - params.quorum)
         for drop in range(max_drop + 1):
             for sub in combinations(clique, len(clique) - drop):
                 members = [g.vertices[v] for v in sub]
@@ -199,3 +204,26 @@ def test_extension_masks_non_hereditary_witness(witness):
     assert WITNESS_CLOSED in {tuple(str(m) for m in s.members)
                               for s in assemble(enumerate_pairs(witness, params),
                                                 witness, params)}
+
+
+FABRICATED_PAIR = """
+from awci import (Alphabet, AnchoredInterval, AwciPair, Dataset, SearchParams,
+                  assemble, build_string)
+al = Alphabet()
+ds = Dataset([build_string(al, "S", [["a"], ["b"]]),
+              build_string(al, "T", [["x"], ["y"]])], al)
+pair = AwciPair(left=AnchoredInterval("S", 1, 2), right=AnchoredInterval("T", 1, 2),
+                common=frozenset(), indel_total=4, size_left=0, size_right=0)
+assemble([pair], ds, SearchParams(delta=0, quorum=2), verify=True)
+"""
+
+
+def test_assemble_verify_raises_under_optimize():
+    # python -O strips assert statements; the verify checks must still run
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-O", "-c", FABRICATED_PAIR],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode != 0
+    assert "AssertionError: reported set {S:1-2, T:1-2} is not an AWCI set" \
+        in proc.stderr, proc.stderr

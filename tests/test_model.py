@@ -80,6 +80,8 @@ def test_char_set_range_errors(demo):
     with pytest.raises(RangeError):
         s.char_set(1, 13)
     with pytest.raises(RangeError):
+        s.char_set(3)
+    with pytest.raises(RangeError):
         s.at(0)
 
 
@@ -150,7 +152,7 @@ def test_dataset_duplicate_ids():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"delta": -1}, {"quorum": 1}, {"min_size": -1}, {"refine_iters": 0},
+    {"delta": -1}, {"quorum": 1}, {"min_size": -1},
 ])
 def test_search_params_validation(kwargs):
     with pytest.raises(ValidationError):

@@ -43,7 +43,7 @@ def test_collect_anchors_clamped_at_break():
 def test_right_bounds_pass_through_clamped():
     ds = make_dataset(("S", [["a"]] * 7, [5]), ("T", [["a"]]))
     t = build_pos_tables(ds)
-    assert candidate_right_bounds(t, None, 0, 3, SearchParams(), 2) == [3, 4, 5]
+    assert candidate_right_bounds(t, None, 0, 3, SearchParams()) == [3, 4, 5]
 
 
 def test_right_bounds_demo_filter(demo):
@@ -51,7 +51,7 @@ def test_right_bounds_demo_filter(demo):
     rt = build_all_ridge_t(t, 1)
     params = SearchParams(delta=1, quorum=3, min_size=6)
     state = FilterState(3, 0, 1)
-    J = candidate_right_bounds(t, rt, 0, 1, params, 3, state)
+    J = candidate_right_bounds(t, rt, 0, 1, params, state)
     assert set(J) >= set(range(1, 9))
 
 
@@ -60,7 +60,7 @@ def test_right_bounds_unsatisfiable_quorum(demo):
     rt = build_all_ridge_t(t, 1)
     params = SearchParams(delta=1, quorum=4)
     state = FilterState(3, 0, 1)
-    assert candidate_right_bounds(t, rt, 0, 1, params, 4, state) == []
+    assert candidate_right_bounds(t, rt, 0, 1, params, state) == []
 
 
 def test_incremental_count_matches_oracle():
@@ -109,7 +109,7 @@ def test_trans_intervals_past_word_boundary():
         params = SearchParams(delta=delta, quorum=2, min_size=1)
         rt = build_all_ridge_t(t, delta)
         for x, i, y in ((0, 77, 1), (0, 125, 2), (2, 120, 0), (1, 120, 2)):
-            J = candidate_right_bounds(t, rt, x, i, params, 2, FilterState(3, x, delta))
+            J = candidate_right_bounds(t, rt, x, i, params, FilterState(3, x, delta))
             for j in (J[len(J) // 2], J[-1]):
                 got = enumerate_trans_intervals(t, x, i, j, y,
                                                 collect_anchors(t, x, y, i, delta), params)
@@ -145,10 +145,25 @@ def refine_fixture():
 
 def test_refine_takes_quorum_th_largest_reach():
     t, anchors = refine_fixture()
-    params = SearchParams(delta=0, quorum=3)
     J = list(range(1, 10))
-    assert refine_bounds(t, 0, 1, anchors, J, params, q_eff=3) == list(range(1, 8))
-    assert refine_bounds(t, 0, 1, anchors, J, params, q_eff=2) == J
+    assert refine_bounds(t, 0, 1, anchors, J, SearchParams(delta=0, quorum=3)) == \
+        list(range(1, 8))
+    assert refine_bounds(t, 0, 1, anchors, J, SearchParams(delta=0, quorum=2)) == J
+
+
+def test_refine_returns_fixed_point():
+    # T reaches the odd positions of S and U the even ones, so each round caps
+    # J one below the last, 9 -> 8 -> ... -> 1, until U reaches nothing in [1, 1]
+    chars = [f"c{p}" for p in range(1, 10)]
+    ds = make_dataset(
+        ("S", [[c] for c in chars]),
+        ("T", [[c] for c in chars[0::2]]),
+        ("U", [[c] for c in chars[1::2]]),
+    )
+    t = build_pos_tables(ds)
+    anchors = {y: collect_anchors(t, 0, y, 1, 1) for y in (1, 2)}
+    params = SearchParams(delta=1, quorum=3)
+    assert refine_bounds(t, 0, 1, anchors, list(range(1, 10)), params) == []
 
 
 def test_refine_abandons_unreachable_left_bound():
@@ -156,17 +171,7 @@ def test_refine_abandons_unreachable_left_bound():
     t = build_pos_tables(ds)
     params = SearchParams(delta=0, quorum=2)
     anchors = {1: collect_anchors(t, 0, 1, 3, 0)}  # S position 3 reaches nothing
-    assert refine_bounds(t, 0, 3, anchors, [3], params, q_eff=2) == []
-
-
-def test_refine_never_drops_solutions():
-    for seed in range(60):
-        ds = random_instance(seed)
-        for delta in (0, 1, 2):
-            params = SearchParams(delta=delta, quorum=2, min_size=1)
-            a = list(enumerate_pairs(ds, params, quorum_grouping=False, refine=True))
-            b = list(enumerate_pairs(ds, params, quorum_grouping=False, refine=False))
-            assert a == b
+    assert refine_bounds(t, 0, 3, anchors, [3], params) == []
 
 
 def test_enumerate_pairs_quorum_unsatisfiable():
@@ -182,13 +187,12 @@ def test_enumerate_pairs_identical_strings_full_length():
 
 def test_enumerate_pairs_matches_oracle_with_filter():
     for seed in range(40):
-        ds = random_instance(seed)
-        for delta in (0, 1, 2):
-            params = SearchParams(delta=delta, quorum=2, min_size=1)
-            expected = brute_force_pairs(ds, params)
-            assert list(enumerate_pairs(ds, params, quorum_grouping=False)) == expected
-            assert list(enumerate_pairs(ds, params, quorum_grouping=False,
-                                        use_filter=False)) == expected
+        for ds in (random_instance(seed), random_instance(seed, break_prob=0.4)):
+            for delta in (0, 1, 2):
+                params = SearchParams(delta=delta, quorum=2, min_size=1)
+                expected = brute_force_pairs(ds, params)
+                assert list(enumerate_pairs(ds, params)) == expected
+                assert list(enumerate_pairs(ds, params, use_filter=False)) == expected
 
 
 def test_enumerate_pairs_grouped_matches_oracle():
@@ -218,8 +222,8 @@ def test_enumerate_pairs_grouped_matches_oracle():
 def test_enumerate_pairs_quorum_grouping_subset_of_oracle(demo):
     params = SearchParams(delta=1, quorum=3, min_size=6)
     grouped = list(enumerate_pairs(demo, params))
-    ungrouped = list(enumerate_pairs(demo, params, quorum_grouping=False))
-    assert set(grouped) <= set(ungrouped)
+    every = list(enumerate_pairs(demo, SearchParams(delta=1, quorum=2, min_size=6)))
+    assert set(grouped) <= set(every)
     keys = {(str(p.left), str(p.right)) for p in grouped}
     assert {("S1:1-8", "S2:2-7"), ("S1:1-8", "S3:1-8"), ("S2:2-7", "S3:1-8")} <= keys
 
@@ -231,26 +235,22 @@ def serialize(pairs):
 
 
 def test_enumerate_pairs_thread_count_invariant():
-    cases = [(SearchParams(delta=1, quorum=2, min_size=1), False),
-             (SearchParams(delta=1, quorum=3, min_size=2), True)]
+    cases = [SearchParams(delta=1, quorum=2, min_size=1),
+             SearchParams(delta=1, quorum=3, min_size=2)]
     for seed in (0, 5, 11):
         ds = random_instance(seed, max_n=10)
-        for params, grouping in cases:
-            one = serialize(enumerate_pairs(ds, params, quorum_grouping=grouping,
-                                            threads=1))
-            four = serialize(enumerate_pairs(ds, params, quorum_grouping=grouping,
-                                             threads=4))
+        for params in cases:
+            one = serialize(enumerate_pairs(ds, params, threads=1))
+            four = serialize(enumerate_pairs(ds, params, threads=4))
             assert one == four
 
 
 def test_enumerate_pairs_verify_path_same_output(demo):
-    cases = [(demo, SearchParams(delta=1, quorum=3, min_size=6), True)]
+    cases = [(demo, SearchParams(delta=1, quorum=3, min_size=6))]
     for seed in range(30):
         cases.append((random_instance(seed),
-                      SearchParams(delta=seed % 3, quorum=2, min_size=1 + seed % 2),
-                      False))
-    for ds, params, grouping in cases:
-        plain = list(enumerate_pairs(ds, params, quorum_grouping=grouping))
+                      SearchParams(delta=seed % 3, quorum=2, min_size=1 + seed % 2)))
+    for ds, params in cases:
+        plain = list(enumerate_pairs(ds, params))
         assert plain
-        assert list(enumerate_pairs(ds, params, quorum_grouping=grouping,
-                                    verify=True)) == plain
+        assert list(enumerate_pairs(ds, params, verify=True)) == plain
