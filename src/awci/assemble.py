@@ -45,9 +45,6 @@ class AwciGraph:
     def string_of(self, v: int) -> int:
         return self.dataset.index_of(self.vertices[v].string_id)
 
-    def neighbor_strings(self, v: int) -> set[int]:
-        return {self.string_of(u) for u in self.adj[v]}
-
     def subgraph(self, keep: set[int]) -> "AwciGraph":
         kept = sorted(keep)
         remap = {v: k for k, v in enumerate(kept)}

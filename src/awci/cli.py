@@ -10,7 +10,6 @@ import io
 import sys
 from contextlib import contextmanager
 
-from . import bench as bench_mod
 from .assemble import assemble
 from .ioformats import (
     HomologyTable,
@@ -46,16 +45,11 @@ def build_parser() -> Parser:
     parser = Parser(prog="awci", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def search_flags(p: Parser, prune: bool = False) -> None:
+    def search_flags(p: Parser) -> None:
         p.add_argument("--delta", type=int, default=0)
         p.add_argument("--quorum", type=int, default=2)
         p.add_argument("--min-size", type=int, default=0)
         p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--no-filter", action="store_true",
-                       help="disable the ridge filter (slower, same output)")
-        if prune:
-            p.add_argument("--no-prune", action="store_true",
-                           help="keep dominated graph vertices")
 
     p = sub.add_parser("ingest", help="homology table to IST")
     p.add_argument("--homology", required=True)
@@ -71,7 +65,7 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("sets", help="full pipeline to maximal closed sets")
     p.add_argument("ist")
-    search_flags(p, prune=True)
+    search_flags(p)
     p.add_argument("--out", default="-")
 
     p = sub.add_parser("gen", help="emit a planted dataset plus ground truth")
@@ -84,19 +78,6 @@ def build_parser() -> Parser:
     p.add_argument("--background-sharing", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, metavar="PREFIX")
-
-    p = sub.add_parser("bench", help="parameter-grid benchmark")
-    p.add_argument("--m-list", default="4,8,16")
-    p.add_argument("--delta-list", default="0,2")
-    p.add_argument("--quorum-list", default="")
-    p.add_argument("--n", type=int, default=500)
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--min-size", type=int, default=10)
-    p.add_argument("--block-length", type=int, default=20)
-    p.add_argument("--background-sharing", type=float, default=0.02)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--out", default="-")
 
     p = sub.add_parser("verify", help="pair and closed-set differentials against the oracle")
     p.add_argument("--seeds", type=int, default=100)
@@ -158,9 +139,7 @@ def cmd_pairs(args) -> int:
     if args.quorum > len(dataset):
         raise UsageError(f"quorum {args.quorum} exceeds the {len(dataset)} "
                          "strings in the dataset")
-    pairs = enumerate_pairs(dataset, _params(args),
-                            use_filter=not args.no_filter,
-                            threads=args.threads)
+    pairs = enumerate_pairs(dataset, _params(args), threads=args.threads)
     with open_out(args.out) as fh:
         write_pairs(pairs, fh)
     return EXIT_OK
@@ -172,10 +151,8 @@ def cmd_sets(args) -> int:
         raise UsageError(f"quorum {args.quorum} exceeds the {len(dataset)} "
                          "strings in the dataset")
     params = _params(args)
-    pairs = enumerate_pairs(dataset, params,
-                            use_filter=not args.no_filter,
-                            threads=args.threads)
-    sets = assemble(pairs, dataset, params, prune=not args.no_prune)
+    pairs = enumerate_pairs(dataset, params, threads=args.threads)
+    sets = assemble(pairs, dataset, params)
     with open_out(args.out) as fh:
         write_sets(sets, fh, delta=params.delta, quorum=params.quorum)
     return EXIT_OK
@@ -192,20 +169,6 @@ def cmd_gen(args) -> int:
         write_ist(dataset, fh)
     with open(args.out + ".truth", "w") as fh:
         write_sets(truth, fh, delta=spec.planted_delta, quorum=spec.m)
-    return EXIT_OK
-
-
-def cmd_bench(args) -> int:
-    m_values = [int(v) for v in args.m_list.split(",") if v]
-    delta_values = [int(v) for v in args.delta_list.split(",") if v]
-    quorum_values = [int(v) for v in args.quorum_list.split(",") if v] or None
-    reports = bench_mod.run_bench(
-        m_values, delta_values, quorum_values,
-        n=args.n, folds=args.folds, base_seed=args.seed,
-        min_size=args.min_size, block_length=args.block_length,
-        background_sharing=args.background_sharing, threads=args.threads)
-    with open_out(args.out) as fh:
-        bench_mod.write_reports(reports, fh)
     return EXIT_OK
 
 
@@ -261,7 +224,6 @@ COMMANDS = {
     "pairs": cmd_pairs,
     "sets": cmd_sets,
     "gen": cmd_gen,
-    "bench": cmd_bench,
     "verify": cmd_verify,
 }
 

@@ -9,7 +9,9 @@ IST format (UTF-8 text):
 Pairs output: tab-separated with header ``#awci-pairs v1``.
 Sets output: one record per line after the ``#awci-sets v1`` header.
 Homology input: tab-separated ``genomeA geneA genomeB geneB score`` plus
-per-genome gene-order files (one gene id per line, ``#`` for contig breaks).
+per-genome gene-order files (one gene id per line, ``#`` for contig breaks,
+``%`` followed by whitespace or the end of the line for comments; any other
+line starting with ``%`` is refused, so no gene id is read as a comment).
 """
 from __future__ import annotations
 
@@ -152,12 +154,17 @@ class HomologyTable:
 
 
 def parse_gene_order(fh: IO[str], filename: str = "<genes>") -> tuple[list[str], list[int]]:
-    """One gene id per line; '#' marks a contig break."""
+    """One gene id per line; '#' marks a contig break, '% ...' a comment."""
     genes: list[str] = []
     breaks: list[int] = []
     for lineno, raw in enumerate(fh, start=1):
         line = raw.strip()
-        if not line or line.startswith("%"):
+        if not line:
+            continue
+        if line.startswith("%"):
+            if line.split()[0] != "%":
+                raise FormatError(f"{filename}:{lineno}: gene id {line!r} begins "
+                                  "with '%', which marks a comment")
             continue
         if line == "#":
             if not genes:

@@ -132,9 +132,6 @@ class IndeterminateString:
     def same_contig(self, i: int, j: int) -> bool:
         return self.contig_bounds(i)[0] == self.contig_bounds(j)[0]
 
-    def valid_interval(self, i: int, j: int) -> bool:
-        return 1 <= i <= j <= len(self.positions) and self.same_contig(i, j)
-
     def intervals(self) -> Iterator[tuple[int, int]]:
         """All valid (i, j) intervals, contig by contig."""
         for lo, hi in self._contigs:

@@ -89,7 +89,6 @@ def build_ridge_t(tables: PairTables, x: int, y: int, delta: int,
             reached.update(neighbors[rc_yx[k]])
 
         bits = 0
-        j_map: dict[int, int] = {}
         for lv in sorted(reached):
             slot = slot_of.get(lv)
             if slot is None:
@@ -99,10 +98,9 @@ def build_ridge_t(tables: PairTables, x: int, y: int, delta: int,
                 slot_of[lv] = slot
             last_seen[lv] = level_j
             bits |= 1 << slot
-            j_map[slot] = lv
         vec[j] = bits
         if slot_ridges is not None:
-            slot_ridges[j] = j_map
+            slot_ridges[j] = {slot_of[lv]: lv for lv in reached}
 
     return RidgeT(vec, width, slot_ridges)
 
@@ -152,12 +150,13 @@ def filter_position(tables: PairTables, ridge_t: list[list[RidgeT | None]],
                     params: SearchParams) -> bool:
     """Advance the sweep to position j; True iff quorum is still reachable.
 
-    Every trans string y != x is considered, before or after x. A string dies
-    once more than `delta` positions of (i, j] share nothing with S_y
-    (`ridge_c[x][y][j] - ridge_c[x][y][i] > delta`). For each live string
-    the per-ridge miss counters are updated from the position's bit vector;
-    it still counts as a candidate when some active ridge has accumulated at
-    most `delta` misses. Requires params.quorum - 1 candidate strings.
+    Every trans string y != x is considered, before or after x. For each
+    live string the per-ridge miss counters are updated from the position's
+    bit vector; it counts as a candidate when some active ridge has
+    accumulated at most `delta` misses. A string that is no candidate once
+    j - i >= delta dies: a ridge first seen after j is charged delta + 1
+    misses at once, and a counter never falls, so it can never count again.
+    Requires params.quorum - 1 candidate strings.
     """
     if state.left != i or j <= state.j_prev:
         raise AwciError("filter state out of sync: reset at each left bound, "
@@ -168,10 +167,6 @@ def filter_position(tables: PairTables, ridge_t: list[list[RidgeT | None]],
     candidates = 0
     for y in range(state.m):
         if state.dead[y]:
-            continue
-        rc = tables.ridge_c[x][y]
-        if rc[j] - rc[i] > delta:
-            state.dead[y] = True
             continue
         rv = ridge_t[x][y].vec[j]  # type: ignore[union-attr]
         active = state.active[y]
@@ -195,4 +190,6 @@ def filter_position(tables: PairTables, ridge_t: list[list[RidgeT | None]],
         state.active[y] = active
         if active & ~dv[delta]:
             candidates += 1
+        elif j - i >= delta:
+            state.dead[y] = True
     return candidates >= params.quorum - 1

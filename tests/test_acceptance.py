@@ -68,9 +68,9 @@ def set_differential():
 def bench_reports():
     """Criteria 7 and 8 share one benchmark grid (m x delta, plus quorum=2).
 
-    The grid is the one `run_bench([4, 8, 16], [0, 2], None, n=500,
-    folds=10)` and `run_bench([4, 8, 16], [0], [2], n=500, folds=10)` run,
-    but the three settings of each dataset are timed back to back: on a
+    The grid is m = 4, 8, 16 x 10 planted datasets of n = 500, each run at
+    delta 0 and 2 with quorum m and at delta 0 with quorum 2; the three
+    settings of each dataset are timed back to back: on a
     shared host the speed of the same run drifts by up to ±25% within
     minutes, and settings timed in separate grid phases, a minute or more
     apart, would carry that drift into the factors criterion 7 compares.
@@ -84,9 +84,9 @@ def bench_reports():
                 background_sharing=0.02, seed=fold))
             for delta in (0, 2):
                 main.append(run_single(dataset, SearchParams(
-                    delta=delta, quorum=m, min_size=10), fold=fold, seed=fold))
+                    delta=delta, quorum=m, min_size=10)))
             low_q.append(run_single(dataset, SearchParams(
-                delta=0, quorum=2, min_size=10), fold=fold, seed=fold))
+                delta=0, quorum=2, min_size=10)))
     return main, low_q, time.perf_counter() - t0
 
 

@@ -42,7 +42,7 @@ def test_build_graph_drops_quorum_infeasible(demo):
     params = SearchParams(delta=1, quorum=3, min_size=6)
     g = demo_graph(demo, params)
     for v in range(len(g)):
-        assert len(g.neighbor_strings(v)) >= 2
+        assert len({g.string_of(u) for u in g.adj[v]}) >= 2
 
 
 def test_build_graph_empty_stream(demo):

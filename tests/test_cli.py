@@ -65,16 +65,6 @@ def test_gen_then_sets_recovers_truth(tmp_path):
     assert reported == truth
 
 
-def test_pairs_filter_flag_same_output(demo, tmp_path):
-    ist = write_demo(demo, tmp_path)
-    a, b = str(tmp_path / "a.tsv"), str(tmp_path / "b.tsv")
-    assert cli.main(["pairs", ist, "--delta", "1", "--min-size", "6",
-                     "--out", a]) == 0
-    assert cli.main(["pairs", ist, "--delta", "1", "--min-size", "6",
-                     "--no-filter", "--out", b]) == 0
-    assert open(a).read() == open(b).read()
-
-
 def test_ingest_command(tmp_path, capsys):
     (tmp_path / "ga.genes").write_text("g1\ng2\n")
     (tmp_path / "gb.genes").write_text("h1\n#\nh2\n")
@@ -106,6 +96,19 @@ def test_ingest_rejects_gene_listed_twice(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ingest_rejects_gene_id_read_as_comment(tmp_path, capsys):
+    (tmp_path / "ga.genes").write_text("g1\n%g2\ng3\n")
+    (tmp_path / "gb.genes").write_text("h1\n")
+    (tmp_path / "hits.tsv").write_text("Ga\tg1\tGb\th1\t1.0\n")
+    out = tmp_path / "out.ist"
+    rc = cli.main(["ingest", "--homology", str(tmp_path / "hits.tsv"),
+                   "--genes", f"Ga={tmp_path}/ga.genes",
+                   "--genes", f"Gb={tmp_path}/gb.genes", "--out", str(out)])
+    assert rc == 2
+    assert "ga.genes:2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ingest_rejects_genome_name_read_back_as_comment(tmp_path, capsys):
     # every gene of genome %G carries the private label "%G.<gene>", which
     # sorts first on its line and would make the line a comment
@@ -132,17 +135,6 @@ def test_ingest_rejects_genome_name_read_as_homology_comment(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'#G'" in err and "i/o error" not in err
     assert not out.exists()
-
-
-def test_bench_command_small(tmp_path):
-    out = str(tmp_path / "bench.tsv")
-    rc = cli.main(["bench", "--m-list", "3", "--delta-list", "0", "--n", "60",
-                   "--folds", "2", "--min-size", "5", "--block-length", "8",
-                   "--out", out])
-    assert rc == 0
-    lines = open(out).read().splitlines()
-    assert lines[0].startswith("m\t")
-    assert len(lines) == 3
 
 
 def test_verify_checks_closed_sets(monkeypatch, capsys):

@@ -106,6 +106,15 @@ def test_gene_order_parse():
         parse_gene_order(io.StringIO("#\ng1\n"))
 
 
+def test_gene_order_rejects_gene_id_read_as_comment():
+    # '%' followed by whitespace or the end of the line is a comment
+    genes, _ = parse_gene_order(io.StringIO("g1\n%\n%\tnote\ng3\n"))
+    assert genes == ["g1", "g3"]
+    with pytest.raises(FormatError) as exc:
+        parse_gene_order(io.StringIO("g1\n%g2\ng3\n"), "a.genes")
+    assert "a.genes:2" in str(exc.value) and "'%g2'" in str(exc.value)
+
+
 def test_homology_parse_and_validate():
     text = "# header\nGa\tg1\tGb\th1\t0.9\nGa\tg2\tGb\th2\t1.5\n"
     records = parse_homology(io.StringIO(text))

@@ -107,7 +107,6 @@ def test_contig_bounds_and_intervals():
         with pytest.raises(RangeError):
             s.contig_bounds(p)
     assert s.same_contig(1, 2) and not s.same_contig(2, 3)
-    assert s.valid_interval(3, 5) and not s.valid_interval(2, 3)
     ivs = list(s.intervals())
     assert (2, 3) not in ivs and (1, 2) in ivs and (3, 5) in ivs
     # 3 intervals in the first contig, 6 in the second

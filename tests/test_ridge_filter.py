@@ -129,6 +129,29 @@ def test_filter_disjoint_trans_string_blocks_quorum():
             assert not filter_position(t, rt, 0, i, j, st, params)
 
 
+@pytest.mark.parametrize("delta", [0, 1, 2])
+def test_filter_kills_string_whose_ridges_are_too_far_apart(delta):
+    # every position of S hits T, so S has no trivial indel against T, but
+    # T's hits sit on ridges delta + 1 trivial indels apart: [1, j] pairs
+    # with an interval of T for j <= delta + 1 and with none after
+    gap = [["z"]] * (delta + 1)
+    chars = [f"c{k}" for k in range(delta + 2)]
+    trans = [[chars[0]]]
+    for c in chars[1:]:
+        trans += gap + [[c]]
+    ds = make_dataset(("S", [[c] for c in chars]), ("T", trans))
+    t = build_pos_tables(ds)
+    assert t.ridge_c[0][1][1] == t.ridge_c[0][1][delta + 2]
+    rt = build_all_ridge_t(t, delta)
+    params = SearchParams(delta=delta, quorum=2)
+    st = fresh_state(ds, 0, delta, 1)
+    for j in range(1, delta + 2):
+        assert filter_position(t, rt, 0, 1, j, st, params)
+        assert not st.dead[1]
+    assert not filter_position(t, rt, 0, 1, delta + 2, st, params)
+    assert st.dead[1]
+
+
 def test_filter_demo_accepts_conserved_prefix(demo):
     t = build_pos_tables(demo)
     rt = build_all_ridge_t(t, 1)
