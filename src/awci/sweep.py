@@ -11,9 +11,11 @@ and the acceptance and endpoint tests are a few int operations each.
 Endpoint anchoring also prunes the work before it is spent: an interval of
 S_y pairs with [i, j]_x only if S_y hits both i and j, so a unit, a right
 bound or a trans string that too few strings hit at its endpoints is skipped
-without running the filter, collecting anchors or walking intervals; strings
-that count towards the quorum but are not reported are only tested for one
-interval. `enumerate_pairs` lists the steps and why each is exact.
+without running the filter, collecting anchors or walking intervals; so is a
+string with more than delta positions hitting nothing in it among the first
+min_size positions from i. Strings that count towards the quorum but are not
+reported are only tested for one interval. `enumerate_pairs` lists the steps
+and why each is exact.
 """
 from __future__ import annotations
 
@@ -47,6 +49,16 @@ def candidate_right_bounds(tables: PairTables, ridge_t, x: int, i: int,
     return J
 
 
+def set_bits(mask: int) -> list[int]:
+    """The indices of the set bits of `mask`, ascending."""
+    out: list[int] = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def window(i: int, j: int) -> int:
     """The int with bits i..j set: the hit-mask window of the interval [i, j]."""
     return ((1 << (j - i + 1)) - 1) << i
@@ -59,12 +71,7 @@ def collect_anchors(tables: PairTables, x: int, y: int, i: int, delta: int) -> l
     union = 0
     for p in range(i, hi + 1):
         union |= masks[p]
-    out: list[int] = []
-    while union:
-        low = union & -union
-        out.append(low.bit_length() - 1)
-        union ^= low
-    return out
+    return set_bits(union)
 
 
 def incremental_indel_count(tables: PairTables, x: int, i: int, j: int,
@@ -241,15 +248,25 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
     needs quorum - 1 other strings with intervals. Hence, each step dropping
     only work that cannot yield a pair:
 
-      * a unit with fewer than quorum - 1 other strings hitting i stops
-        before the filter (with the filter on, this is its own j = i step);
+      * a unit with fewer than quorum - 1 other strings hitting i is never
+        run: `tables.strings_at[x][i]` holds those strings as one int, so the
+        unit list keeps only the (x, i) with enough bits set;
+      * min-size lookahead: with jt = i + min_size - 1, a unit whose contig
+        ends before jt stops at once, and a string S_y hitting i stays live
+        only if [i, jt] has at most delta positions hitting nothing in S_y
+        (`ridge_c[x][y][jt] - ridge_c[x][y][i]`); the unit stops before the
+        filter when fewer than quorum - 1 strings stay live. This is exact:
+        a position hitting nothing in S_y is an indel of every pair of [i, j]
+        with an interval of S_y, and that count never falls as j grows, so
+        no [i, j] with j >= jt pairs with S_y, and every j < jt is below
+        `min_size` anyway;
       * a unit whose longest right-bound candidate is shorter than
         `min_size` stops before anchors are collected;
       * anchors, and so the reach that `refine_bounds` caps J with, are
-        built only for the strings hitting i: any quorum - 1 strings with
+        built only for the live strings: any quorum - 1 strings with
         intervals for [i, j] are among them, and each one's reach is >= j;
-      * a right bound j is skipped when fewer than quorum - 1 of those
-        strings also hit j, or when no string after x has an interval for
+      * a right bound j is skipped when fewer than quorum - 1 live strings
+        also hit j, or when no string after x has an interval for
         [i, j], since only those are reported;
       * the strings before x count towards the quorum but are never
         reported, so each is only tested for an interval (the walk stops at
@@ -271,10 +288,17 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
 
     def run_unit(unit: tuple[int, int]) -> list[AwciPair]:
         x, i = unit
-        hits = tables.hitmask[x]
-        live = [y for y in range(m) if y != x and hits[y][i]]
+        sx = dataset[x]
+        jt = i + params.min_size - 1
+        if jt > sx.contig_bounds(i)[1]:
+            return []
+        rc = tables.ridge_c[x]
+        strings_at = tables.strings_at[x]
+        live = [y for y in set_bits(strings_at[i])
+                if rc[y][jt] - rc[y][i] <= params.delta]
         if len(live) < quorum - 1:
             return []
+        live_mask = sum(1 << y for y in live)
         state = FilterState(m, x, params.delta) if use_filter else None
         J = candidate_right_bounds(tables, ridge_t, x, i, params, state)
         if not J or J[-1] - i + 1 < params.min_size:
@@ -282,14 +306,14 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
         anchors = {y: collect_anchors(tables, x, y, i, params.delta) for y in live}
         J = refine_bounds(tables, x, i, anchors, J, params)
         found: list[AwciPair] = []
-        sx = dataset[x]
         right_sets: dict[tuple[int, int, int], frozenset[int]] = {}
         for j in J:
             if j - i + 1 < params.min_size:
                 continue
-            live_j = [y for y in live if hits[y][j]]
-            if len(live_j) < quorum - 1:
+            at_j = strings_at[j] & live_mask
+            if at_j.bit_count() < quorum - 1:
                 continue
+            live_j = set_bits(at_j)
             ints = [(y, found_y) for y in live_j if y > x
                     if (found_y := enumerate_trans_intervals(
                         tables, x, i, j, y, anchors[y], params))]
@@ -323,7 +347,9 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
                     found.append(pair)
         return found
 
-    units = [(x, i) for x in range(m - 1) for i in range(1, len(dataset[x]) + 1)]
+    # index 0 of strings_at is an unused 0, and quorum >= 2 skips it
+    units = [(x, i) for x in range(m - 1)
+             for i, at in enumerate(tables.strings_at[x]) if at.bit_count() >= quorum - 1]
     if threads <= 1:
         for unit in units:
             yield from run_unit(unit)

@@ -1,7 +1,7 @@
 """Precomputed per-ordered-pair index tables.
 
 For every ordered string pair (x, y) three structures are built once and
-shared read-only afterwards:
+shared read-only afterwards, plus one per string:
 
   * pos[x][y][i]     -- sorted positions k of S_y whose set intersects S_x[i]
   * hitmask[x][y][i] -- the same positions as one int, bit k set for each k in
@@ -10,6 +10,9 @@ shared read-only afterwards:
   * ridge_c[x][y]    -- prefix counts of positions of S_x sharing nothing with
                         S_y at all (trivial indels), with a sentinel 0 entry so
                         differences at i = 1 are well defined
+  * strings_at[x][i] -- the strings S_x[i] hits, as one int: bit y set iff
+                        hitmask[x][y][i] != 0; the sweep reads which strings
+                        can anchor an endpoint i from it in one operation
 
 Contig breaks of S_x are folded into ridge_c as huge additive steps, so any
 difference across a break exceeds every realistic indel budget.
@@ -31,7 +34,8 @@ BREAK_COST = 1 << 40
 
 
 class PairTables:
-    """Pos, hit-mask and Ridge^c tables for all ordered string pairs of a dataset."""
+    """Pos, hit-mask and Ridge^c tables for all ordered string pairs of a dataset,
+    and the per-position masks of the strings each position hits."""
 
     def __init__(self, dataset: Dataset) -> None:
         self.dataset = dataset
@@ -61,15 +65,18 @@ class PairTables:
         self.pos: list[list[list[list[int]] | None]] = [[None] * m for _ in range(m)]
         self.hitmask: list[list[list[int] | None]] = [[None] * m for _ in range(m)]
         self.ridge_c: list[list[list[int] | None]] = [[None] * m for _ in range(m)]
+        self.strings_at: list[list[int]] = []
         for x in range(m):
             sx = dataset[x]
             n = len(sx)
             steps_x = [0] + [1] * n
             for b in sx.contig_breaks:
                 steps_x[b + 1] += BREAK_COST
+            at = [0] * (n + 1)
             for y in range(m):
                 if x == y:
                     continue
+                y_bit = 1 << y
                 oy, by = occ[y], occ_bits[y]
                 rows: list[list[int]] = [empty] * (n + 1)  # index 0 unused
                 masks = [0] * (n + 1)
@@ -85,9 +92,11 @@ class PairTables:
                             rows[p] = row
                             masks[p] = bits
                             steps[p] -= 1
+                            at[p] |= y_bit
                 self.pos[x][y] = rows
                 self.hitmask[x][y] = masks
                 self.ridge_c[x][y] = list(accumulate(steps))
+            self.strings_at.append(at)
 
 
 def build_pos_tables(dataset: Dataset) -> PairTables:

@@ -2,6 +2,7 @@ import io
 from collections import defaultdict
 from itertools import combinations
 
+import awci.sweep
 from awci.ioformats import write_pairs
 from awci.model import AnchoredInterval, Dataset, IndeterminateString, SearchParams
 from awci.oracle import brute_force_pairs, judge_pair, make_pair
@@ -217,6 +218,59 @@ def test_enumerate_pairs_grouped_matches_oracle():
                     cases += 1
                     nonempty += bool(expected)
     assert (cases, nonempty) == (1071, 916)
+
+
+def grouped_oracle(ds, params):
+    """`brute_force_pairs` kept to the pairs whose left interval pairs with
+    intervals of at least quorum - 1 distinct strings, on either side."""
+    reference = brute_force_pairs(ds, SearchParams(delta=params.delta,
+                                                   min_size=params.min_size))
+    partners = defaultdict(set)
+    for p in reference:
+        partners[p.left].add(p.right.string_id)
+        partners[p.right].add(p.left.string_id)
+    return [p for p in reference if len(partners[p.left]) >= params.quorum - 1]
+
+
+def test_enumerate_pairs_min_size_lookahead_skips_units(monkeypatch):
+    # delta=1, min_size=4. S:1 is hit by T and U, but S:2-3 (z, w) hit nothing
+    # in either: delta + 1 trivial positions in [1, 4]. S:5-7 are hit, but
+    # their contig ends at 7, before i + 3; T:3-5 are as close to T's end.
+    # Only S:4 and T:1-2 reach the filter; S:4-7 pairs with T:2-5 and U:2-5.
+    ds = make_dataset(("S", [["a"], ["z"], ["w"], ["b"], ["c"], ["d"], ["e"], ["f"]], [7]),
+                      ("T", [["a"], ["b"], ["c"], ["d"], ["e"]]),
+                      ("U", [["a"], ["b"], ["c"], ["d"], ["e"]]))
+    original = awci.sweep.candidate_right_bounds
+    for quorum in (2, 3):
+        units = []
+
+        def counting(tables, ridge_t, x, i, *args):
+            units.append((x, i))
+            return original(tables, ridge_t, x, i, *args)
+
+        monkeypatch.setattr(awci.sweep, "candidate_right_bounds", counting)
+        params = SearchParams(delta=1, quorum=quorum, min_size=4)
+        expected = grouped_oracle(ds, params)
+        assert list(enumerate_pairs(ds, params)) == expected
+        assert units == [(0, 4), (1, 1), (1, 2)]
+        assert expected
+
+
+def test_enumerate_pairs_grouped_matches_oracle_with_breaks_and_min_size():
+    # contig breaks and min_size >= 3 make the min-size lookahead end units
+    # at contig ends and drop strings with too many trivial positions
+    cases = nonempty = 0
+    for seed in range(120):
+        ds = random_instance(seed, break_prob=0.4)
+        for delta in (0, 1, 2):
+            for min_size in (3, 4, 5):
+                for quorum in range(2, len(ds) + 1):
+                    params = SearchParams(delta=delta, quorum=quorum, min_size=min_size)
+                    expected = grouped_oracle(ds, params)
+                    assert list(enumerate_pairs(ds, params)) == expected, (seed, params)
+                    cases += 1
+                    nonempty += bool(expected)
+    assert (cases, nonempty) == (2070, 504)
 
 
 def test_enumerate_pairs_quorum_grouping_subset_of_oracle(demo):

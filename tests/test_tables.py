@@ -54,6 +54,28 @@ def test_pos_duality():
                     assert t.hitmask[x][y][i] == sum(1 << k for k in t.pos[x][y][i])
 
 
+def test_strings_at_matches_literal_scan():
+    # contig breaks do not cut hits; up to 6 strings give masks of 6 bits
+    for seed in range(40):
+        ds = random_instance(seed, max_m=6, break_prob=0.4)
+        t = build_pos_tables(ds)
+        m = len(ds)
+        assert len(t.strings_at) == m
+        for x in range(m):
+            sx = ds[x]
+            assert len(t.strings_at[x]) == len(sx) + 1 and t.strings_at[x][0] == 0
+            for i in range(1, len(sx) + 1):
+                expect = 0
+                for y in range(m):
+                    if y != x and any(sx.at(i) & ds[y].at(k)
+                                      for k in range(1, len(ds[y]) + 1)):
+                        expect |= 1 << y
+                assert t.strings_at[x][i] == expect
+                assert not t.strings_at[x][i] >> x & 1
+                assert all((t.strings_at[x][i] >> y & 1) == bool(t.hitmask[x][y][i])
+                           for y in range(m) if y != x)
+
+
 def test_ridge_c_demo(demo_tables):
     # S1 positions 3 ({x}) and 9 ({v,l}) share nothing with S3
     assert demo_tables.ridge_c[0][2] == [0, 0, 0, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2]
