@@ -31,7 +31,7 @@ from .oracle import (
     make_pair,
 )
 from .ioformats import parse_ist, parse_sets, write_ist, write_pairs, write_sets
-from .ridge import build_all_ridge_t, build_ridge_t
+from .ridge import build_all_ridge_t
 from .sweep import enumerate_pairs
 from .synth import PlantedSpec, generate_planted, random_instance
 from .tables import PairTables, build_pos_tables
@@ -44,7 +44,7 @@ __all__ = [
     "PairVerdict", "PlantedSpec", "RangeError", "ResourceLimitError",
     "SearchParams", "UnsupportedError", "ValidationError", "assemble",
     "brute_force_maximal_closed_sets", "brute_force_pairs", "build_all_ridge_t",
-    "build_graph", "build_pos_tables", "build_ridge_t", "build_string",
+    "build_graph", "build_pos_tables", "build_string",
     "enumerate_pairs", "generate_planted", "is_awci_set", "is_closed_set",
     "judge_pair", "make_pair", "maximal_closed_sets", "parse_ist",
     "parse_sets", "prune_dominated_vertices", "random_instance", "write_ist",

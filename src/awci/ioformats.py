@@ -11,7 +11,8 @@ Sets output: one record per line after the ``#awci-sets v1`` header.
 Homology input: tab-separated ``genomeA geneA genomeB geneB score`` plus
 per-genome gene-order files (one gene id per line, ``#`` for contig breaks,
 ``%`` followed by whitespace or the end of the line for comments; any other
-line starting with ``%`` is refused, so no gene id is read as a comment).
+line starting with ``%`` is refused, so no gene id is read as a comment, and
+so is a ``#`` without a gene on each side, so no gene named ``#`` vanishes).
 """
 from __future__ import annotations
 
@@ -154,9 +155,14 @@ class HomologyTable:
 
 
 def parse_gene_order(fh: IO[str], filename: str = "<genes>") -> tuple[list[str], list[int]]:
-    """One gene id per line; '#' marks a contig break, '% ...' a comment."""
+    """One gene id per line; '#' marks a contig break, '% ...' a comment.
+
+    A break needs a gene on each side: a '#' before the first gene, directly
+    after another '#' or after the last gene raises `FormatError`.
+    """
     genes: list[str] = []
     breaks: list[int] = []
+    break_line = 0
     for lineno, raw in enumerate(fh, start=1):
         line = raw.strip()
         if not line:
@@ -169,9 +175,15 @@ def parse_gene_order(fh: IO[str], filename: str = "<genes>") -> tuple[list[str],
         if line == "#":
             if not genes:
                 raise FormatError(f"{filename}:{lineno}: break before first gene")
+            if breaks and breaks[-1] == len(genes):
+                raise FormatError(f"{filename}:{lineno}: break directly after "
+                                  f"the break on line {break_line}")
             breaks.append(len(genes))
+            break_line = lineno
             continue
         genes.append(line)
+    if breaks and breaks[-1] == len(genes):
+        raise FormatError(f"{filename}:{break_line}: break after the last gene")
     return genes, breaks
 
 

@@ -11,57 +11,43 @@ and the acceptance and endpoint tests are a few int operations each.
 Endpoint anchoring also prunes the work before it is spent: an interval of
 S_y pairs with [i, j]_x only if S_y hits both i and j, so a unit, a right
 bound or a trans string that too few strings hit at its endpoints is skipped
-without running the filter, collecting anchors or walking intervals; so is a
-string with more than delta positions hitting nothing in it among the first
-min_size positions from i. Strings that count towards the quorum but are not
-reported are only tested for one interval. `enumerate_pairs` lists the steps
-and why each is exact.
+without running the ridge bound, collecting anchors or walking intervals; so
+is a string with more than delta positions hitting nothing in it among the
+first min_size positions from i. The right bounds of a unit stop at the
+(quorum - 1)-th largest per-string end of `ridge.filter_position`. Strings
+that count towards the quorum but are not reported are only tested for one
+interval. `enumerate_pairs` lists the steps and why each is exact.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from typing import Iterator
 
-from .model import AnchoredInterval, Dataset, SearchParams
+from .model import AnchoredInterval, AwciError, Dataset, SearchParams
 from .oracle import AwciPair, make_pair
-from .ridge import FilterState, build_all_ridge_t, filter_position
-from .tables import PairTables, build_pos_tables
+from .ridge import build_all_ridge_t, filter_position
+from .tables import PairTables, build_pos_tables, set_bits, window
 
 
 def candidate_right_bounds(tables: PairTables, ridge_t, x: int, i: int,
-                           params: SearchParams,
-                           state: FilterState | None = None) -> list[int]:
-    """Right-bound candidates J for left bound i, grown until the filter fails.
+                           params: SearchParams) -> list[int]:
+    """Right-bound candidates J for left bound i: the contig suffix of i."""
+    return list(range(i, tables.dataset[x].contig_bounds(i)[1] + 1))
 
-    With no filter state (pass-through), J is the whole contig suffix of i.
+
+def refine_bounds(tables: PairTables, ridge_t, x: int, i: int, live: list[int],
+                  J: list[int], params: SearchParams) -> list[int]:
+    """Cap J at the (quorum - 1)-th largest per-string end of the ridge bound.
+
+    A pair ([i, j]_x, [k, l]_y) needs j <= `filter_position(..., x, y, i, ...)`,
+    and [i, j] needs intervals of quorum - 1 strings, all among `live`, the
+    strings hitting i that may still pair; with fewer of them J is empty.
     """
-    sx = tables.dataset[x]
-    hi = sx.contig_bounds(i)[1]
-    if state is None:
-        return list(range(i, hi + 1))
-    state.reset(i)
-    J: list[int] = []
-    for j in range(i, hi + 1):
-        if not filter_position(tables, ridge_t, x, i, j, state, params):
-            break
-        J.append(j)
-    return J
-
-
-def set_bits(mask: int) -> list[int]:
-    """The indices of the set bits of `mask`, ascending."""
-    out: list[int] = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def window(i: int, j: int) -> int:
-    """The int with bits i..j set: the hit-mask window of the interval [i, j]."""
-    return ((1 << (j - i + 1)) - 1) << i
+    if len(live) < params.quorum - 1:
+        return []
+    ends = sorted((filter_position(tables, ridge_t, x, y, i, params) for y in live),
+                  reverse=True)
+    return J[:ends[params.quorum - 2] - i + 1]
 
 
 def collect_anchors(tables: PairTables, x: int, y: int, i: int, delta: int) -> list[int]:
@@ -172,63 +158,6 @@ def _trans_walk(tables: PairTables, x: int, i: int, j: int, y: int,
                     yield k, l, covered, d
 
 
-def refine_bounds(tables: PairTables, x: int, i: int,
-                  anchors: dict[int, list[int]], J: list[int],
-                  params: SearchParams) -> list[int]:
-    """Shrink the right-bound candidates using per-anchor reachability.
-
-    For each trans string, the rightmost reference position reachable from any
-    anchor neighborhood bounds the right end of any pair with that string;
-    the (quorum - 1)-th largest such bound caps J. Repeated until J stops
-    shrinking, and that fixed point is returned; each round either stops or
-    shortens J, so the loop ends.
-
-    The reachable reference positions of one trans string are the union of
-    the hit masks over every anchor's neighborhood, built once; each round
-    reads the top bit of that union inside the window of bits i..J[-1].
-    """
-    delta = params.delta
-    reach: list[int] = []
-    for y, p_list in anchors.items():
-        sy = tables.dataset[y]
-        rc = tables.ridge_c[y][x]
-        masks = tables.hitmask[y][x]
-        union = 0
-        done = 0  # every position up to here is in the union
-        for p in p_list:
-            # widest span around p costing at most delta trivial indels,
-            # clamped to p's contig; the prefix base strips the break cost
-            # folded into the step at the contig's first position
-            lo, hi = sy.contig_bounds(p)
-            base = rc[lo] - (0 if masks[lo] else 1)
-            if rc[p] - base <= delta:
-                k_star = lo
-            else:
-                k_star = bisect_left(rc, rc[p] - delta, lo, p) + 1
-            prev = base if p == lo else rc[p - 1]
-            l_star = bisect_right(rc, prev + delta, p, hi + 1) - 1
-            # both ends only move right as p does (anchors are sorted), so
-            # the overlap with the previous span is already in the union
-            for k_prime in range(max(k_star, done + 1), l_star + 1):
-                union |= masks[k_prime]
-            done = l_star
-        reach.append(union)
-    if len(reach) < params.quorum - 1:
-        return []
-    while J:
-        j_max = J[-1]
-        w = window(i, j_max)
-        # -1 for a string that reaches nothing in [i, j_max]
-        j_stars = sorted(((u & w).bit_length() - 1 for u in reach), reverse=True)
-        r = j_stars[params.quorum - 2]
-        if r < i:
-            return []
-        if r >= j_max:
-            break
-        J = J[:r - i + 1]
-    return J
-
-
 def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
                     use_filter: bool = True, threads: int = 1,
                     tables: PairTables | None = None,
@@ -255,22 +184,27 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
         ends before jt stops at once, and a string S_y hitting i stays live
         only if [i, jt] has at most delta positions hitting nothing in S_y
         (`ridge_c[x][y][jt] - ridge_c[x][y][i]`); the unit stops before the
-        filter when fewer than quorum - 1 strings stay live. This is exact:
+        ridge bound when fewer than quorum - 1 strings stay live. This is exact:
         a position hitting nothing in S_y is an indel of every pair of [i, j]
         with an interval of S_y, and that count never falls as j grows, so
         no [i, j] with j >= jt pairs with S_y, and every j < jt is below
         `min_size` anyway;
-      * a unit whose longest right-bound candidate is shorter than
-        `min_size` stops before anchors are collected;
-      * anchors, and so the reach that `refine_bounds` caps J with, are
-        built only for the live strings: any quorum - 1 strings with
-        intervals for [i, j] are among them, and each one's reach is >= j;
+      * the ridge bound (`refine_bounds`): the right bounds J, the contig
+        suffix of i, stop at the (quorum - 1)-th largest per-string end of
+        `ridge.filter_position` over the live strings, which no j of a pair
+        with that string exceeds (the `ridge` module says why); any
+        quorum - 1 strings with intervals for [i, j] are among the live
+        ones. A unit whose J is then shorter than `min_size` stops before
+        anchors are collected;
       * a right bound j is skipped when fewer than quorum - 1 live strings
         also hit j, or when no string after x has an interval for
         [i, j], since only those are reported;
       * the strings before x count towards the quorum but are never
         reported, so each is only tested for an interval (the walk stops at
         the first), and only until the quorum is reached.
+
+    `use_filter=False` skips the ridge bound, so J is the whole contig
+    suffix of i; it is the reference path the bound is checked against.
 
     Each pair is built from the sweep's own counts; only its common set is
     computed, from character-set unions cached per interval. With `verify`,
@@ -285,6 +219,10 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
         tables = build_pos_tables(dataset)
     if use_filter and ridge_t is None:
         ridge_t = build_all_ridge_t(tables, params.delta)
+    elif use_filter and ridge_t[0][1].delta != params.delta:
+        # narrower neighbourhoods than the budget would drop pairs silently
+        raise AwciError(f"ridge_t was built for delta={ridge_t[0][1].delta}, "
+                        f"not delta={params.delta}")
 
     def run_unit(unit: tuple[int, int]) -> list[AwciPair]:
         x, i = unit
@@ -299,12 +237,12 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
         if len(live) < quorum - 1:
             return []
         live_mask = sum(1 << y for y in live)
-        state = FilterState(m, x, params.delta) if use_filter else None
-        J = candidate_right_bounds(tables, ridge_t, x, i, params, state)
-        if not J or J[-1] - i + 1 < params.min_size:
+        J = candidate_right_bounds(tables, ridge_t, x, i, params)
+        if use_filter:
+            J = refine_bounds(tables, ridge_t, x, i, live, J, params)
+        if J[-1] - i + 1 < params.min_size:
             return []
         anchors = {y: collect_anchors(tables, x, y, i, params.delta) for y in live}
-        J = refine_bounds(tables, x, i, anchors, J, params)
         found: list[AwciPair] = []
         right_sets: dict[tuple[int, int, int], frozenset[int]] = {}
         for j in J:

@@ -17,6 +17,13 @@ shared read-only afterwards, plus one per string:
 Contig breaks of S_x are folded into ridge_c as huge additive steps, so any
 difference across a break exceeds every realistic indel budget.
 
+`pos` has no reader in the search any more; it is kept only because the
+benchmark's traced run counts its entries (`tables.pos_entries`).
+
+These tables never change after the build. The per-pair reach-mask caches of
+`ridge.RidgeT` are the only structures the sweep fills as it goes; that is
+safe under `threads > 1` because a cache key always gets the same value.
+
 The work per ordered pair follows shared occurrences, not positions: every
 list starts as its default for a position hitting nothing (one shared empty
 row, mask 0, a ridge_c step of 1), made by list multiplication or copied
@@ -97,6 +104,21 @@ class PairTables:
                 self.hitmask[x][y] = masks
                 self.ridge_c[x][y] = list(accumulate(steps))
             self.strings_at.append(at)
+
+
+def set_bits(mask: int) -> list[int]:
+    """The indices of the set bits of `mask`, ascending."""
+    out: list[int] = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def window(i: int, j: int) -> int:
+    """The int with bits i..j set: the hit-mask window of the interval [i, j]."""
+    return ((1 << (j - i + 1)) - 1) << i
 
 
 def build_pos_tables(dataset: Dataset) -> PairTables:

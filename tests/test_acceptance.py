@@ -195,7 +195,8 @@ def test_criterion_7_runtime_trends(bench_reports):
 
 def test_criterion_8_filter_vector_widths(bench_reports):
     main, low_q, _ = bench_reports
-    # run_single asserts width <= (delta+1) * max cardinality on every run
+    # run_single asserts that every ridge neighbourhood a reach mask was built
+    # for fits in the longest contig of its string, on every run
     for m in (4, 8, 16):
         w0 = [r.max_width for r in main if r.m == m and r.delta == 0]
         w2 = [r.max_width for r in main if r.m == m and r.delta == 2]

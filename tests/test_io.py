@@ -115,6 +115,18 @@ def test_gene_order_rejects_gene_id_read_as_comment():
     assert "a.genes:2" in str(exc.value) and "'%g2'" in str(exc.value)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("g1\n#\n#\ng2\n", 3),              # a gene named '#' between two breaks
+    ("g1\n#\n% note\n\n#\ng2\n", 5),    # comments and blanks do not separate
+    ("g1\ng2\n#\n", 3),                  # trailing break
+    ("g1\n#\n% note\n\n", 2),            # trailing break before a comment
+])
+def test_gene_order_rejects_break_without_gene_after(text, line):
+    with pytest.raises(FormatError) as exc:
+        parse_gene_order(io.StringIO(text), "a.genes")
+    assert f"a.genes:{line}:" in str(exc.value)
+
+
 def test_homology_parse_and_validate():
     text = "# header\nGa\tg1\tGb\th1\t0.9\nGa\tg2\tGb\th2\t1.5\n"
     records = parse_homology(io.StringIO(text))

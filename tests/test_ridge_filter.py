@@ -1,27 +1,41 @@
 import pytest
 
-from awci.model import AwciError, SearchParams
-from awci.ridge import FilterState, build_all_ridge_t, build_ridge_t, filter_position
+from awci.bench import width_bound
+from awci.model import SearchParams
+from awci.oracle import brute_force_pairs
+from awci.ridge import build_all_ridge_t, filter_position
+from awci.sweep import enumerate_pairs, refine_bounds
 from awci.synth import random_instance
-from awci.tables import BREAK_COST, build_pos_tables
+from awci.tables import build_pos_tables
 from conftest import make_dataset
 
 
+def bits(*positions):
+    return sum(1 << p for p in positions)
+
+
 def test_width_one_for_fully_shared_pair():
-    ds = make_dataset(("S", [["a", "x"], ["a", "y"], ["a"]]),
-                      ("T", [["a"], ["a", "z"]]))
+    # T is one position sharing 'a' with every position of S: one ridge of
+    # one position, reaching all of S
+    ds = make_dataset(("S", [["a", "x"], ["a", "y"], ["a"]]), ("T", [["a"]]))
     t = build_pos_tables(ds)
-    rt = build_ridge_t(t, 0, 1, 0)
+    rt = build_all_ridge_t(t, 0)[0][1]
+    assert rt.width == 0  # nothing is built before the sweep asks
+    assert rt.reach(1) == bits(1, 2, 3)
     assert rt.width == 1
-    assert rt.vec == [0, 1, 1, 1]
+    assert rt.masks == {t.ridge_c[1][0][1]: bits(1, 2, 3)}
 
 
 def test_demo_pair_single_ridge(demo):
     t = build_pos_tables(demo)
     # no S3 position is a trivial indel against S1, so S3 has one ridge
     assert all(t.hitmask[2][0][1:])
-    rt = build_ridge_t(t, 0, 2, 1)
-    assert rt.width == 1
+    rt = build_all_ridge_t(t, 1)[0][2]
+    masks = {rt.reach(p) for p in range(1, len(demo[2]) + 1)}
+    # one mask, built once, reaching every position of S1 that S3 hits
+    # (all but S1:3 = {x} and S1:9 = {v, l})
+    assert len(rt.masks) == 1 and rt.width == len(demo[2])
+    assert masks == {bits(1, 2, 4, 5, 6, 7, 8, 10, 11, 12)}
 
 
 def test_vectors_mark_reachable_ridges():
@@ -29,82 +43,100 @@ def test_vectors_mark_reachable_ridges():
                       ("T", [["a"], ["z"], ["b"]]))
     t = build_pos_tables(ds)
     # T ridges: position 1 (level 0) and position 3 (level 1), split by {z}
-    rt0 = build_ridge_t(t, 0, 1, 0)
-    assert rt0.vec[1] != 0 and rt0.vec[2] == 0 and rt0.vec[3] != 0
-    # at delta=1 each hit dilates to both ridges
-    rt1 = build_ridge_t(t, 0, 1, 1)
-    assert bin(rt1.vec[1]).count("1") == 2
-    assert bin(rt1.vec[3]).count("1") == 2
+    rt0 = build_all_ridge_t(t, 0)
+    assert rt0[0][1].reach(1) == bits(1) and rt0[0][1].reach(3) == bits(3)
+    assert filter_position(t, rt0, 0, 1, 1, SearchParams(delta=0)) == 1
+    # at delta=1 each ridge's neighbourhood holds both ridges
+    rt1 = build_all_ridge_t(t, 1)
+    assert rt1[0][1].reach(1) == rt1[0][1].reach(3) == bits(1, 3)
+    assert filter_position(t, rt1, 0, 1, 1, SearchParams(delta=1)) == 3
 
 
 def test_width_within_structural_bound():
     for seed in range(25):
-        ds = random_instance(seed)
+        ds = random_instance(seed, break_prob=0.3)
         t = build_pos_tables(ds)
         for delta in (0, 1, 2):
+            rt = build_all_ridge_t(t, delta)
+            params = SearchParams(delta=delta)
             for x in range(len(ds)):
                 for y in range(len(ds)):
                     if x == y:
                         continue
-                    rt = build_ridge_t(t, x, y, delta)
-                    assert rt.width <= (delta + 1) * ds[y].cardinality
+                    for i in range(1, len(ds[x]) + 1):
+                        filter_position(t, rt, x, y, i, params)
+                    assert rt[x][y].width <= width_bound(ds[y])
 
 
-def test_slot_reuse_never_aliases_within_window():
-    for seed in range(25):
-        ds = random_instance(seed)
-        t = build_pos_tables(ds)
-        for delta in (0, 1, 2):
-            for x in range(len(ds)):
-                for y in range(len(ds)):
-                    if x == y:
-                        continue
-                    rt = build_ridge_t(t, x, y, delta, track_slots=True)
-                    rc = t.ridge_c[x][y]
-                    n = len(ds[x])
-                    for j1 in range(1, n + 1):
-                        for j2 in range(j1, n + 1):
-                            if rc[j2] - rc[j1] > delta:
-                                break
-                            m1, m2 = rt.slot_ridges[j1], rt.slot_ridges[j2]
-                            for slot in m1.keys() & m2.keys():
-                                assert m1[slot] == m2[slot]
-
-
-def test_slots_hold_dilated_levels_of_hits():
-    # the level of a position k of S_y against S_x is the number of trivial
-    # indels of S_y up to k plus BREAK_COST per contig break before k
+def test_reach_masks_match_literal_neighbourhoods():
+    # the neighbourhood of a hit position p of S_y is the widest span around
+    # p, inside p's contig, with at most delta positions on each side of p
+    # sharing nothing with S_x
     for seed in range(40):
         ds = random_instance(seed, break_prob=0.3)
         t = build_pos_tables(ds)
-        for x in range(len(ds)):
-            for y in range(len(ds)):
-                if x == y:
-                    continue
-                sx, sy = ds[x], ds[y]
-                shared = sx.char_set()
-                hit = [k for k in range(1, len(sy) + 1) if sy.at(k) & shared]
-                level = {}
-                for k in hit:
-                    level[k] = (sum(1 for q in range(1, k + 1) if not sy.at(q) & shared)
-                                + BREAK_COST * sum(1 for b in sy.contig_breaks if b < k))
-                for delta in (0, 1, 2):
-                    rt = build_ridge_t(t, x, y, delta, track_slots=True)
-                    assert len(rt.vec) == len(rt.slot_ridges) == len(sx) + 1
-                    for j in range(1, len(sx) + 1):
-                        reached = {level[k2] for k in hit if sx.at(j) & sy.at(k)
-                                   for k2 in hit if abs(level[k2] - level[k]) <= delta}
-                        j_map = rt.slot_ridges[j]
-                        assert sorted(j_map.values()) == sorted(reached)
-                        assert rt.vec[j] == sum(1 << slot for slot in j_map)
-                        if not t.pos[x][y][j]:
-                            assert rt.vec[j] == 0 and not j_map
+        for delta in (0, 1, 2):
+            rt = build_all_ridge_t(t, delta)
+            for x in range(len(ds)):
+                for y in range(len(ds)):
+                    if x == y:
+                        continue
+                    sx, sy = ds[x], ds[y]
+                    shared = sx.char_set()
+
+                    def trivial(q):
+                        return not sy.at(q) & shared
+
+                    for p in range(1, len(sy) + 1):
+                        if trivial(p):
+                            continue
+                        lo, hi = sy.contig_bounds(p)
+                        k, cost = p, 0
+                        while k > lo and cost + trivial(k - 1) <= delta:
+                            k -= 1
+                            cost += trivial(k)
+                        l, cost = p, 0
+                        while l < hi and cost + trivial(l + 1) <= delta:
+                            l += 1
+                            cost += trivial(l)
+                        want = bits(*(i for i in range(1, len(sx) + 1)
+                                      if any(sx.at(i) & sy.at(q) for q in range(k, l + 1))))
+                        assert rt[x][y].reach(p) == want, (seed, delta, x, y, p)
+                        assert rt[x][y].spans[t.ridge_c[y][x][p]] == l - k + 1
 
 
-def fresh_state(ds, x, delta, i):
-    st = FilterState(len(ds), x, delta)
-    st.reset(i)
-    return st
+def test_bound_covers_every_oracle_pair():
+    # soundness of the per-string end: no pair ends past it, on either side
+    checked = 0
+    for seed in range(120):
+        ds = random_instance(seed, break_prob=0.4)
+        t = build_pos_tables(ds)
+        index = {s.id: n for n, s in enumerate(ds)}
+        for delta in (0, 1, 2):
+            params = SearchParams(delta=delta, quorum=2, min_size=1)
+            rt = build_all_ridge_t(t, delta)
+            for pair in brute_force_pairs(ds, params):
+                a, b = pair.left, pair.right
+                x, y = index[a.string_id], index[b.string_id]
+                assert a.j <= filter_position(t, rt, x, y, a.i, params), (seed, pair)
+                assert b.j <= filter_position(t, rt, y, x, b.i, params), (seed, pair)
+                checked += 1
+    assert checked > 1000
+
+
+def test_bound_stays_inside_contigs():
+    # S_x's break caps the end; S_y's break caps the neighbourhood
+    params = SearchParams(delta=2)
+    ds = make_dataset(("S", [["a"], ["b"], ["c"]], [2]), ("T", [["a"], ["b"], ["c"]]))
+    t = build_pos_tables(ds)
+    rt = build_all_ridge_t(t, 2)
+    assert rt[0][1].reach(1) == bits(1, 2, 3)
+    assert filter_position(t, rt, 0, 1, 1, params) == 2
+    ds = make_dataset(("S", [["a"], ["b"], ["c"]]), ("T", [["a"], ["b"], ["c"]], [2]))
+    t = build_pos_tables(ds)
+    rt = build_all_ridge_t(t, 2)
+    assert rt[0][1].reach(1) == bits(1, 2) and rt[0][1].width == 2
+    assert filter_position(t, rt, 0, 1, 1, params) == 2
 
 
 def test_filter_identical_strings_always_true():
@@ -112,9 +144,8 @@ def test_filter_identical_strings_always_true():
     t = build_pos_tables(ds)
     rt = build_all_ridge_t(t, 0)
     params = SearchParams(delta=0, quorum=2)
-    st = fresh_state(ds, 0, 0, 1)
-    for j in range(1, 4):
-        assert filter_position(t, rt, 0, 1, j, st, params)
+    for i in range(1, 4):
+        assert filter_position(t, rt, 0, 1, i, params) == 3
 
 
 def test_filter_disjoint_trans_string_blocks_quorum():
@@ -124,16 +155,19 @@ def test_filter_disjoint_trans_string_blocks_quorum():
     rt = build_all_ridge_t(t, 1)
     params = SearchParams(delta=1, quorum=3)
     for i in (1, 2):
-        st = fresh_state(ds, 0, 1, i)
-        for j in range(i, 3):
-            assert not filter_position(t, rt, 0, i, j, st, params)
+        # U hits nothing, so it never joins T among the live strings
+        assert filter_position(t, rt, 0, 2, i, params) == -1
+        assert filter_position(t, rt, 0, 1, i, params) == 2
+        assert refine_bounds(t, rt, 0, i, [1], list(range(i, 3)), params) == []
+    assert list(enumerate_pairs(ds, params)) == []
 
 
 @pytest.mark.parametrize("delta", [0, 1, 2])
 def test_filter_kills_string_whose_ridges_are_too_far_apart(delta):
-    # every position of S hits T, so S has no trivial indel against T, but
-    # T's hits sit on ridges delta + 1 trivial indels apart: [1, j] pairs
-    # with an interval of T for j <= delta + 1 and with none after
+    # every position of S hits T, so S has no trivial indel against T and
+    # the min-size lookahead keeps T, but T's hits sit on ridges delta + 1
+    # trivial indels apart: the ridge of T:1 reaches S:1 only, so no pair
+    # [1, j] with T ends past 1
     gap = [["z"]] * (delta + 1)
     chars = [f"c{k}" for k in range(delta + 2)]
     trans = [[chars[0]]]
@@ -143,69 +177,42 @@ def test_filter_kills_string_whose_ridges_are_too_far_apart(delta):
     t = build_pos_tables(ds)
     assert t.ridge_c[0][1][1] == t.ridge_c[0][1][delta + 2]
     rt = build_all_ridge_t(t, delta)
-    params = SearchParams(delta=delta, quorum=2)
-    st = fresh_state(ds, 0, delta, 1)
-    for j in range(1, delta + 2):
-        assert filter_position(t, rt, 0, 1, j, st, params)
-        assert not st.dead[1]
-    assert not filter_position(t, rt, 0, 1, delta + 2, st, params)
-    assert st.dead[1]
+    params = SearchParams(delta=delta, quorum=2, min_size=1)
+    assert rt[0][1].reach(1) == bits(1)
+    assert filter_position(t, rt, 0, 1, 1, params) == 1
+    assert all(p.left.i == p.left.j for p in brute_force_pairs(ds, params))
 
 
 def test_filter_demo_accepts_conserved_prefix(demo):
     t = build_pos_tables(demo)
     rt = build_all_ridge_t(t, 1)
     params = SearchParams(delta=1, quorum=3, min_size=6)
-    st = fresh_state(demo, 0, 1, 1)
-    for j in range(1, 9):
-        assert filter_position(t, rt, 0, 1, j, st, params)
+    for y in (1, 2):
+        assert filter_position(t, rt, 0, y, 1, params) >= 8
 
 
-def test_reset_equals_fresh_state():
-    ds = random_instance(7)
+def test_cache_filled_from_threads_matches_serial():
+    # the sweep's worker threads share one cache per string pair; with more
+    # threads than cores and a short switch interval, every cached mask and
+    # span must still equal the ones a serial sweep builds
+    import sys
+
+    from awci.synth import PlantedSpec, generate_planted
+
+    ds, _ = generate_planted(PlantedSpec(m=4, n=120, block_count=2, block_length=15,
+                                         background_sharing=0.2, seed=3))
+    params = SearchParams(delta=2, quorum=2, min_size=4)
     t = build_pos_tables(ds)
-    rt = build_all_ridge_t(t, 1)
-    params = SearchParams(delta=1, quorum=2)
-    n = len(ds[0])
-    used = FilterState(len(ds), 0, 1)
-    used.reset(1)
-    for j in range(1, n + 1):
-        filter_position(t, rt, 0, 1, j, used, params)
-    used.reset(2)
-    fresh = fresh_state(ds, 0, 1, 2)
-    for j in range(2, n + 1):
-        assert filter_position(t, rt, 0, 2, j, used, params) == \
-            filter_position(t, rt, 0, 2, j, fresh, params)
-        assert used.active == fresh.active
-        assert used.deltas == fresh.deltas
-        assert used.dead == fresh.dead
-
-
-def test_reset_idempotent_and_clears_all_bits():
-    st = FilterState(3, 0, 2)
-    st.reset(1)
-    st.active[1] = 0b101
-    st.deltas[2][0] = 0b11
-    st.dead[2] = True
-    st.reset(4)
-    before = (list(st.active), [list(d) for d in st.deltas], list(st.dead))
-    st.reset(4)
-    assert before == (list(st.active), [list(d) for d in st.deltas], list(st.dead))
-    assert all(a == 0 for a in st.active)
-    assert all(b == 0 for dv in st.deltas for b in dv)
-    assert st.dead == [True, False, False]  # only the reference stays dead
-
-
-def test_filter_contract_violations():
-    ds = make_dataset(("S", [["a"], ["b"]]), ("T", [["a"], ["b"]]))
-    t = build_pos_tables(ds)
-    rt = build_all_ridge_t(t, 0)
-    params = SearchParams(delta=0, quorum=2)
-    st = FilterState(2, 0, 0)
-    st.reset(1)
-    with pytest.raises(AwciError):
-        filter_position(t, rt, 0, 2, 2, st, params)  # left bound changed, no reset
-    st.reset(1)
-    filter_position(t, rt, 0, 1, 2, st, params)
-    with pytest.raises(AwciError):
-        filter_position(t, rt, 0, 1, 2, st, params)  # j not increasing
+    serial, shared = build_all_ridge_t(t, 2), build_all_ridge_t(t, 2)
+    expected = list(enumerate_pairs(ds, params, tables=t, ridge_t=serial))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = list(enumerate_pairs(ds, params, tables=t, ridge_t=shared, threads=8))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected and expected
+    for row_s, row_t in zip(serial, shared):
+        for rs, rt in zip(row_s, row_t):
+            if rs is not None:
+                assert (rt.masks, rt.spans, rt.width) == (rs.masks, rs.spans, rs.width)

@@ -2,11 +2,13 @@ import io
 from collections import defaultdict
 from itertools import combinations
 
+import pytest
+
 import awci.sweep
 from awci.ioformats import write_pairs
-from awci.model import AnchoredInterval, Dataset, IndeterminateString, SearchParams
+from awci.model import AnchoredInterval, AwciError, Dataset, IndeterminateString, SearchParams
 from awci.oracle import brute_force_pairs, judge_pair, make_pair
-from awci.ridge import FilterState, build_all_ridge_t
+from awci.ridge import build_all_ridge_t, filter_position
 from awci.sweep import (
     candidate_right_bounds,
     collect_anchors,
@@ -16,7 +18,7 @@ from awci.sweep import (
     refine_bounds,
 )
 from awci.synth import PlantedSpec, generate_planted, random_instance
-from awci.tables import build_pos_tables
+from awci.tables import build_pos_tables, set_bits
 from conftest import make_dataset
 
 
@@ -51,8 +53,8 @@ def test_right_bounds_demo_filter(demo):
     t = build_pos_tables(demo)
     rt = build_all_ridge_t(t, 1)
     params = SearchParams(delta=1, quorum=3, min_size=6)
-    state = FilterState(3, 0, 1)
-    J = candidate_right_bounds(t, rt, 0, 1, params, state)
+    J = refine_bounds(t, rt, 0, 1, [1, 2], candidate_right_bounds(t, rt, 0, 1, params),
+                      params)
     assert set(J) >= set(range(1, 9))
 
 
@@ -60,8 +62,8 @@ def test_right_bounds_unsatisfiable_quorum(demo):
     t = build_pos_tables(demo)
     rt = build_all_ridge_t(t, 1)
     params = SearchParams(delta=1, quorum=4)
-    state = FilterState(3, 0, 1)
-    assert candidate_right_bounds(t, rt, 0, 1, params, state) == []
+    J = candidate_right_bounds(t, rt, 0, 1, params)
+    assert refine_bounds(t, rt, 0, 1, [1, 2], J, params) == []
 
 
 def test_incremental_count_matches_oracle():
@@ -110,7 +112,8 @@ def test_trans_intervals_past_word_boundary():
         params = SearchParams(delta=delta, quorum=2, min_size=1)
         rt = build_all_ridge_t(t, delta)
         for x, i, y in ((0, 77, 1), (0, 125, 2), (2, 120, 0), (1, 120, 2)):
-            J = candidate_right_bounds(t, rt, x, i, params, FilterState(3, x, delta))
+            J = refine_bounds(t, rt, x, i, set_bits(t.strings_at[x][i]),
+                              candidate_right_bounds(t, rt, x, i, params), params)
             for j in (J[len(J) // 2], J[-1]):
                 got = enumerate_trans_intervals(t, x, i, j, y,
                                                 collect_anchors(t, x, y, i, delta), params)
@@ -131,7 +134,7 @@ def test_trans_intervals_past_word_boundary():
     assert min(seen.values()) > 0, seen
 
 
-def refine_fixture():
+def test_refine_takes_quorum_th_largest_reach():
     # reference reaches position 9 through T but only 7 through U
     chars = [f"c{p}" for p in range(1, 10)]
     ds = make_dataset(
@@ -140,39 +143,31 @@ def refine_fixture():
         ("U", [[c] for c in chars[:7]]),
     )
     t = build_pos_tables(ds)
-    anchors = {y: collect_anchors(t, 0, y, 1, 0) for y in (1, 2)}
-    return t, anchors
-
-
-def test_refine_takes_quorum_th_largest_reach():
-    t, anchors = refine_fixture()
+    rt = build_all_ridge_t(t, 0)
     J = list(range(1, 10))
-    assert refine_bounds(t, 0, 1, anchors, J, SearchParams(delta=0, quorum=3)) == \
+    assert refine_bounds(t, rt, 0, 1, [1, 2], J, SearchParams(delta=0, quorum=3)) == \
         list(range(1, 8))
-    assert refine_bounds(t, 0, 1, anchors, J, SearchParams(delta=0, quorum=2)) == J
-
-
-def test_refine_returns_fixed_point():
-    # T reaches the odd positions of S and U the even ones, so each round caps
-    # J one below the last, 9 -> 8 -> ... -> 1, until U reaches nothing in [1, 1]
-    chars = [f"c{p}" for p in range(1, 10)]
-    ds = make_dataset(
-        ("S", [[c] for c in chars]),
-        ("T", [[c] for c in chars[0::2]]),
-        ("U", [[c] for c in chars[1::2]]),
-    )
-    t = build_pos_tables(ds)
-    anchors = {y: collect_anchors(t, 0, y, 1, 1) for y in (1, 2)}
-    params = SearchParams(delta=1, quorum=3)
-    assert refine_bounds(t, 0, 1, anchors, list(range(1, 10)), params) == []
+    assert refine_bounds(t, rt, 0, 1, [1, 2], J, SearchParams(delta=0, quorum=2)) == J
 
 
 def test_refine_abandons_unreachable_left_bound():
     ds = make_dataset(("S", [["a"], ["b"], ["c"]]), ("T", [["a"], ["z"], ["z"]]))
     t = build_pos_tables(ds)
+    rt = build_all_ridge_t(t, 0)
     params = SearchParams(delta=0, quorum=2)
-    anchors = {1: collect_anchors(t, 0, 1, 3, 0)}  # S position 3 reaches nothing
-    assert refine_bounds(t, 0, 3, anchors, [3], params) == []
+    # S position 3 reaches nothing, so no string is live there
+    assert filter_position(t, rt, 0, 1, 3, params) == -1
+    assert refine_bounds(t, rt, 0, 3, [], [3], params) == []
+    # T's ridge at T:1 reaches S:1 only
+    assert refine_bounds(t, rt, 0, 1, [1], [1, 2, 3], params) == [1]
+
+
+def test_enumerate_pairs_refuses_ridge_t_of_another_delta(demo):
+    t = build_pos_tables(demo)
+    params = SearchParams(delta=1, quorum=3, min_size=6)
+    with pytest.raises(AwciError):
+        list(enumerate_pairs(demo, params, tables=t, ridge_t=build_all_ridge_t(t, 0)))
+    assert list(enumerate_pairs(demo, params, tables=t, ridge_t=build_all_ridge_t(t, 1)))
 
 
 def test_enumerate_pairs_quorum_unsatisfiable():

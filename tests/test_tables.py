@@ -122,7 +122,7 @@ def test_awci_pairs_live_on_one_ridge():
                         v = judge_pair(ds, AnchoredInterval(sx.id, i, j),
                                        AnchoredInterval(sy.id, k, l), delta)
                         if v.is_awci:
-                            # the ridge window build_ridge_t dilates by
+                            # why a ridge neighbourhood bounds every pair
                             rc_xy, rc_yx = t.ridge_c[xi][yi], t.ridge_c[yi][xi]
                             assert rc_xy[j] - rc_xy[i] <= delta
                             assert rc_yx[l] - rc_yx[k] <= delta
