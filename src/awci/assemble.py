@@ -1,27 +1,20 @@
 """From enumerated interval pairs to maximal closed interval sets.
 
 Pairs become an undirected graph (vertices are intervals, edges are reported
-pairs). Vertices that cannot reach the quorum are dropped, dominated
-representatives may be pruned, and maximal cliques are enumerated by one
-pivoted Bron-Kerbosch run over the whole graph. Each clique is tested for
-closedness with per-vertex extension masks; non-closed cliques are probed
-for closed sub-cliques within a bounded descent. Reported sets are those
-closed sets not contained in another reported closed set.
+pairs). Vertices that cannot reach the quorum are dropped, and vertices that
+no closed set can hold may be pruned. Maximal cliques are enumerated by one
+pivoted Bron-Kerbosch run over the whole graph, and each is peeled to its
+closed core with per-vertex extension masks. Both steps are exact because a
+member extendable in a set stays extendable in every subset holding it.
+Reported sets are the cores not contained in another reported core.
 """
 from __future__ import annotations
 
-import logging
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .model import AnchoredInterval, Dataset, ResourceLimitError, SearchParams
 from .oracle import AwciPair, AwciSet, is_closed_set
-
-log = logging.getLogger(__name__)
-
-# Members a non-closed clique may lose in the search for closed sub-cliques.
-DESCENT_BUDGET = 2
 
 
 class AwciGraph:
@@ -93,46 +86,28 @@ def build_graph(pairs: Iterable[AwciPair], dataset: Dataset,
 
 
 def prune_dominated_vertices(graph: AwciGraph) -> AwciGraph:
-    """Drop vertices dominated by a strict superinterval on the same string.
+    """Drop, to a fixpoint, every vertex that no closed set can hold.
 
-    A vertex v is discardable when some vertex u on the same string strictly
-    contains its interval, u is adjacent to every neighbor of v, at most one
-    extension position per side shares characters with all of v's neighbors,
-    and a position immediately adjacent to v's interval does so (which makes
-    any set containing v non-closed, so dropping v cannot change the output).
+    A vertex v is dropped when one of its extension masks covers all of its
+    remaining neighbours. Every other member of a clique holding v is such a
+    neighbour, so v is extendable in that clique and the clique is not
+    closed; dropping v changes no output. Dropping a vertex only shrinks its
+    neighbours' neighbourhoods, so a droppable vertex stays droppable and the
+    fixpoint does not depend on the order of the worklist.
     """
-    by_string: dict[str, list[int]] = {}
-    for v, iv in enumerate(graph.vertices):
-        by_string.setdefault(iv.string_id, []).append(v)
-
-    char_sets = graph.char_sets
-    discard: set[int] = set()
-    for v, iv in enumerate(graph.vertices):
-        if not graph.adj[v]:
-            continue
-        s = graph.dataset.string_of(iv)
-        neighbor_sets = [char_sets[u] for u in graph.adj[v]]
-
-        def shares_all(p: int) -> bool:
-            pset = s.at(p)
-            return all(not pset.isdisjoint(cs) for cs in neighbor_sets)
-
-        for u in by_string[iv.string_id]:
-            ju = graph.vertices[u]
-            if (ju.i, ju.j) == (iv.i, iv.j) or not (ju.i <= iv.i and iv.j <= ju.j):
-                continue
-            if not graph.adj[v] <= graph.adj[u]:
-                continue
-            left_ext = [p for p in range(ju.i, iv.i) if shares_all(p)]
-            right_ext = [p for p in range(iv.j + 1, ju.j + 1) if shares_all(p)]
-            if len(left_ext) > 1 or len(right_ext) > 1:
-                continue
-            if (iv.i - 1 in left_ext) or (iv.j + 1 in right_ext):
-                discard.add(v)
-                break
-    if not discard:
+    masks = extension_masks(graph)
+    neighbours = [sum(1 << u for u in adj) for adj in graph.adj]
+    alive = full = (1 << len(graph)) - 1
+    work = list(range(len(graph)))
+    while work:
+        v = work.pop()
+        live = neighbours[v] & alive
+        if alive >> v & 1 and any(live & mask == live for mask in masks[v]):
+            alive ^= 1 << v
+            work.extend(graph.adj[v])
+    if alive == full:
         return graph
-    return graph.subgraph(set(range(len(graph))) - discard)
+    return graph.subgraph({v for v in range(len(graph)) if alive >> v & 1})
 
 
 def _maximal_cliques(graph: AwciGraph, guard: int) -> list[tuple[int, ...]]:
@@ -183,56 +158,47 @@ def extension_masks(graph: AwciGraph) -> list[tuple[int, ...]]:
     return out
 
 
-def is_closed_clique(masks: list[tuple[int, ...]], clique: Sequence[int]) -> bool:
-    """Closedness of a clique of the graph `masks` were built on.
+def closed_core(masks: list[tuple[int, ...]],
+                clique: Sequence[int]) -> tuple[int, ...]:
+    """The one maximal closed sub-clique of a clique of the graph `masks` were
+    built on, in the clique's order; the clique is closed iff it is returned.
 
-    Agrees with `oracle.is_closed_set` on the clique's intervals: a member v
-    is extendable at an adjacent position iff every other member, all of them
-    neighbours of v, is in that position's mask.
+    A member v is extendable at an adjacent position iff every other member,
+    all of them neighbours of v, is in that position's mask; this agrees with
+    `oracle.is_closed_set`. A member extendable in a set stays extendable in
+    every subset holding it, so extendable members are removed until none is
+    left: no closed sub-clique holds a removed member, and what is left is
+    closed.
     """
-    members = 0
-    for v in clique:
-        members |= 1 << v
-    for v in clique:
-        others = members ^ (1 << v)
-        for mask in masks[v]:
-            if others & mask == others:
-                return False
-    return True
+    core = list(clique)
+    while True:
+        members = sum(1 << v for v in core)
+        kept = []
+        for v in core:
+            others = members ^ (1 << v)
+            if not any(others & mask == others for mask in masks[v]):
+                kept.append(v)
+        if len(kept) == len(core):
+            return tuple(core)
+        core = kept
 
 
 def maximal_closed_sets(graph: AwciGraph, params: SearchParams, *,
                         clique_guard: int = 2_000_000) -> list[AwciSet]:
     """Enumerate closed interval sets that are maximal among closed sets.
 
-    Each maximal clique spanning at least `quorum` strings is tested for
-    closedness; non-closed cliques are probed for closed sub-cliques missing
-    at most `DESCENT_BUDGET` members. Finally any closed set contained in a
-    larger collected closed set is dropped. One warning gives the number of
-    non-closed cliques whose descent the budget cut short.
+    Every closed set is a clique, so it lies in some maximal clique and, by
+    `closed_core`, in that clique's closed core. The maximal closed sets are
+    therefore exactly the cores spanning at least `quorum` strings that are
+    contained in no other such core.
     """
     dataset = graph.dataset
     masks = extension_masks(graph)
     candidates: set[tuple[int, ...]] = set()
-    over_budget = 0
     for clique in _maximal_cliques(graph, clique_guard):
-        if len(clique) < params.quorum:
-            continue
-        if is_closed_clique(masks, clique):
-            candidates.add(clique)
-            continue
-        if len(clique) - params.quorum > DESCENT_BUDGET:
-            over_budget += 1
-        max_drop = min(DESCENT_BUDGET, len(clique) - params.quorum)
-        for drop in range(1, max_drop + 1):
-            for sub in combinations(clique, len(clique) - drop):
-                if is_closed_clique(masks, sub):
-                    candidates.add(sub)
-    if over_budget:
-        log.warning(
-            "%d non-closed cliques exceed the descent budget of %d; their closed "
-            "sub-cliques missing more than %d members were not probed",
-            over_budget, DESCENT_BUDGET, DESCENT_BUDGET)
+        core = closed_core(masks, clique)
+        if len(core) >= params.quorum:
+            candidates.add(core)
 
     ordered = sorted(candidates)
     closed_sets = [frozenset(c) for c in ordered]

@@ -37,7 +37,12 @@ SETS_HEADER = "#awci-sets v1"
 
 def parse_ist(fh: IO[str], alphabet: Alphabet | None = None,
               filename: str = "<ist>") -> Dataset:
-    """Parse an IST file into a dataset, with line-accurate errors."""
+    """Parse an IST file into a dataset, with line-accurate errors.
+
+    A '#' line is a contig break and needs a position on each side: a '#'
+    before the first position, directly after another '#' or after the last
+    position raises `FormatError` naming the line of that '#'.
+    """
     if alphabet is None:
         alphabet = Alphabet()
     strings: list[IndeterminateString] = []
@@ -45,6 +50,7 @@ def parse_ist(fh: IO[str], alphabet: Alphabet | None = None,
     cur_id: str | None = None
     cur_positions: list[list[str]] = []
     cur_breaks: list[int] = []
+    break_line = 0
 
     def flush(lineno: int) -> None:
         nonlocal cur_id, cur_positions, cur_breaks
@@ -52,6 +58,9 @@ def parse_ist(fh: IO[str], alphabet: Alphabet | None = None,
             return
         if not cur_positions:
             raise FormatError(f"{filename}:{lineno}: string {cur_id!r} has no positions")
+        if cur_breaks and cur_breaks[-1] == len(cur_positions):
+            raise FormatError(f"{filename}:{break_line}: contig break after the last "
+                              f"position of string {cur_id!r}")
         try:
             strings.append(build_string(alphabet, cur_id, cur_positions, cur_breaks))
         except ValidationError as exc:
@@ -78,7 +87,11 @@ def parse_ist(fh: IO[str], alphabet: Alphabet | None = None,
         if line == "#":
             if not cur_positions:
                 raise FormatError(f"{filename}:{lineno}: contig break before first position")
+            if cur_breaks and cur_breaks[-1] == len(cur_positions):
+                raise FormatError(f"{filename}:{lineno}: contig break directly after "
+                                  f"the break on line {break_line}")
             cur_breaks.append(len(cur_positions))
+            break_line = lineno
             continue
         labels = line.split()
         if not labels:

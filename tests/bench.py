@@ -2,9 +2,8 @@
 
 `run_single` times the sweep after the index build and checks every ridge
 neighbourhood the sweep built a reach mask for against its structural bound;
-`median_sweep_time` summarises
-the runs. Calibrated, digest-checked timing of the whole pipeline lives in
-`perfbench`.
+`median_sweep_time` summarises the runs. Calibrated, digest-checked timing
+of the whole pipeline lives in `perfbench`.
 """
 from __future__ import annotations
 
@@ -13,10 +12,10 @@ import time
 from dataclasses import dataclass
 from typing import Iterable
 
-from .model import Dataset, IndeterminateString, SearchParams
-from .ridge import build_all_ridge_t
-from .sweep import enumerate_pairs
-from .tables import build_pos_tables
+from awci.model import Dataset, IndeterminateString, SearchParams
+from awci.ridge import build_all_ridge_t
+from awci.sweep import enumerate_pairs
+from awci.tables import build_pos_tables
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ import time
 import pytest
 
 from awci.assemble import assemble
-from awci.bench import median_sweep_time, run_single
 from awci.ioformats import write_pairs, write_sets
 from awci.model import AnchoredInterval, SearchParams
 from awci.oracle import (
@@ -20,6 +19,7 @@ from awci.oracle import (
 from awci.sweep import enumerate_pairs, incremental_indel_count
 from awci.synth import PlantedSpec, generate_planted, random_instance
 from awci.tables import build_pos_tables
+from bench import median_sweep_time, run_single
 from conftest import WITNESS, make_dataset
 
 GOLDEN_MEMBERS = ("S1:1-8", "S2:2-7", "S3:1-8")

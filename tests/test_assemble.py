@@ -1,24 +1,22 @@
 import os
 import subprocess
 import sys
-from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from awci.assemble import (
-    DESCENT_BUDGET,
     AwciGraph,
     _maximal_cliques,
     assemble,
     build_graph,
+    closed_core,
     extension_masks,
-    is_closed_clique,
     maximal_closed_sets,
     prune_dominated_vertices,
 )
 from awci.model import AnchoredInterval, ResourceLimitError, SearchParams
-from awci.oracle import brute_force_maximal_closed_sets, is_closed_set
+from awci.oracle import AwciPair, brute_force_maximal_closed_sets, is_closed_set
 from awci.sweep import enumerate_pairs
 from awci.synth import random_instance
 from conftest import WITNESS_CLOSED, make_dataset
@@ -50,17 +48,16 @@ def test_build_graph_empty_stream(demo):
     assert len(g) == 0
 
 
-def prune_fixture(extra_shared=0):
-    """u = S:1-9 strictly contains v = S:1-8; S positions beyond 8 repeat
-    characters of the neighbor's interval (extra_shared controls how many)."""
+def prune_fixture():
+    """u = S:1-9 strictly contains v = S:1-8; S position 9 repeats a character
+    of the neighbor's interval."""
     chars = [f"c{p}" for p in range(1, 9)]
-    tail = [["c1"], ["c2"]][:1 + extra_shared]
     ds = make_dataset(
-        ("S", [[c] for c in chars] + tail),
+        ("S", [[c] for c in chars] + [["c1"]]),
         ("T", [[c] for c in chars]),
     )
     v = AnchoredInterval("S", 1, 8)
-    u = AnchoredInterval("S", 1, 8 + len(tail))
+    u = AnchoredInterval("S", 1, 9)
     w = AnchoredInterval("T", 1, 8)
     g = AwciGraph(ds, [v, u, w], [(0, 2), (1, 2)])
     return ds, g
@@ -72,26 +69,58 @@ def test_prune_discards_dominated_vertex():
     assert [str(x) for x in pruned.vertices] == ["S:1-9", "T:1-8"]
 
 
-def test_prune_keeps_vertex_with_two_sharing_extensions():
-    _, g = prune_fixture(extra_shared=1)
-    pruned = prune_dominated_vertices(g)
-    assert len(pruned) == 3
-
-
-def test_prune_keeps_vertex_with_private_neighbor():
+def test_prune_keeps_vertex_no_mask_covers():
+    # S position 9 = c1 meets w = T:1-8 but not z = U:1-8 ({c2..c9}), so
+    # v = S:1-8 may still be closed in {v, z}
     chars = [f"c{p}" for p in range(1, 9)]
     ds = make_dataset(
         ("S", [[c] for c in chars] + [["c1"]]),
         ("T", [[c] for c in chars]),
-        ("U", [[c] for c in chars]),
+        ("U", [[f"c{p}"] for p in range(2, 10)]),
     )
     v = AnchoredInterval("S", 1, 8)
-    u = AnchoredInterval("S", 1, 9)
     w = AnchoredInterval("T", 1, 8)
     z = AnchoredInterval("U", 1, 8)
-    # z is v's private neighbor, not adjacent to the superinterval u
-    g = AwciGraph(ds, [v, u, w, z], [(0, 2), (1, 2), (0, 3)])
-    assert len(prune_dominated_vertices(g)) == 4
+    g = AwciGraph(ds, [v, w, z], [(0, 1), (0, 2)])
+    assert prune_dominated_vertices(g) is g
+
+
+def test_prune_runs_to_fixpoint():
+    # v = S:1-8 has neighbours z and w; S position 9 = c1 meets w but not z,
+    # so v stays until z (U position 9 = c1 meets v) is dropped
+    chars = [f"c{p}" for p in range(1, 9)]
+    ds = make_dataset(
+        ("S", [[c] for c in chars] + [["c1"]]),
+        ("T", [[c] for c in chars]),
+        ("U", [[f"c{p}"] for p in range(2, 10)] + [["c1"]]),
+    )
+    z = AnchoredInterval("U", 1, 8)
+    w = AnchoredInterval("T", 1, 8)
+    v = AnchoredInterval("S", 1, 8)
+    g = AwciGraph(ds, [z, w, v], [(2, 0), (2, 1)])
+    assert extension_masks(g)[2] == (0b010,)
+    assert [str(x) for x in prune_dominated_vertices(g).vertices] == ["T:1-8"]
+
+
+def test_prune_drops_no_member_of_a_closed_set():
+    dropped = 0
+    for seed in range(40):
+        ds = random_instance(seed, max_n=8, break_prob=0.4)
+        for delta in (0, 1, 2):
+            for q in (2, 3):
+                if q > len(ds):
+                    continue
+                params = SearchParams(delta=delta, quorum=q, min_size=1)
+                pairs = list(enumerate_pairs(ds, params))
+                graph = build_graph(pairs, ds, params)
+                pruned = set(graph.vertices) - set(
+                    prune_dominated_vertices(graph).vertices)
+                expected = brute_force_maximal_closed_sets(ds, params)
+                assert not pruned & {m for s in expected for m in s.members}
+                assert assemble(pairs, ds, params, prune=True) == \
+                    assemble(pairs, ds, params, prune=False) == expected
+                dropped += len(pruned)
+    assert dropped > 0
 
 
 def test_maximal_closed_sets_demo(demo):
@@ -109,7 +138,7 @@ def test_single_edge_below_quorum(demo):
     assert maximal_closed_sets(g, SearchParams(delta=0, quorum=3)) == []
 
 
-def test_descent_reports_closed_subclique():
+def test_peel_reports_closed_subclique():
     # 4-string instance where some maximal clique is not closed and the
     # answer comes from a sub-clique; frozen seed, oracle-verified
     ds = random_instance(5)
@@ -124,6 +153,26 @@ def test_descent_reports_closed_subclique():
     assert any(len(c) >= 2 and not is_closed_set(ds, [g.vertices[v] for v in c], 1)
                for c in cliques)
     assert any(len(s.members) < max(len(c) for c in cliques) for s in result)
+
+
+def test_peel_past_two_extendable_members():
+    # one maximal clique of 6 members: the A members are extendable by their
+    # position 3 = {a}, which meets every member's {a, b}; the B members'
+    # position 3 = {z} meets nothing, so {B1, B2, B3} is the one closed set
+    ds = make_dataset(*[(f"A{k}", [["a"], ["b"], ["a"]]) for k in (1, 2, 3)],
+                      *[(f"B{k}", [["a"], ["b"], ["z"]]) for k in (1, 2, 3)])
+    members = [AnchoredInterval(s.id, 1, 2) for s in ds.strings]
+    edges = [(u, v) for u in range(6) for v in range(u + 1, 6)]
+    params = SearchParams(delta=0, quorum=3, min_size=2)
+    sets = maximal_closed_sets(AwciGraph(ds, members, edges), params)
+    assert [tuple(map(str, s.members)) for s in sets] == [("B1:1-2", "B2:1-2", "B3:1-2")]
+    assert is_closed_set(ds, sets[0].members)
+    pairs = [AwciPair(left=members[u], right=members[v],
+                      common=frozenset(ds.strings[u].char_set(1, 2)),
+                      indel_total=0, size_left=2, size_right=2)
+             for u, v in edges]
+    for prune in (True, False):
+        assert assemble(pairs, ds, params, prune=prune, verify=True) == sets
 
 
 def test_clique_guard(demo):
@@ -156,28 +205,27 @@ def test_prune_does_not_change_output():
 
 
 def mask_vs_oracle(ds, params):
-    """Compare the mask closedness test with the oracle on every maximal
-    clique and every sub-clique the descent probes. Returns the boundary
-    kinds ("string_end", "contig_break") that some compared member touches."""
+    """Compare each maximal clique's closed core with the oracle: the core is
+    closed, and the clique is closed iff it is its own core. Returns the
+    boundary kinds ("string_end", "contig_break") that some compared member
+    touches."""
     g = build_graph(enumerate_pairs(ds, params), ds, params)
     masks = extension_masks(g)
     kinds = set()
     for clique in _maximal_cliques(g, 100_000):
         if len(clique) < params.quorum:
             continue
-        max_drop = min(DESCENT_BUDGET, len(clique) - params.quorum)
-        for drop in range(max_drop + 1):
-            for sub in combinations(clique, len(clique) - drop):
-                members = [g.vertices[v] for v in sub]
-                assert is_closed_clique(masks, sub) == \
-                    is_closed_set(ds, members, params.delta), members
-                for iv in members:
-                    s = ds.string_of(iv)
-                    lo, hi = s.contig_bounds(iv.i)
-                    if iv.i == 1 or iv.j == len(s):
-                        kinds.add("string_end")
-                    if (iv.i == lo > 1) or (iv.j == hi < len(s)):
-                        kinds.add("contig_break")
+        core = closed_core(masks, clique)
+        members = [g.vertices[v] for v in clique]
+        assert is_closed_set(ds, [g.vertices[v] for v in core], params.delta), members
+        assert (core == clique) == is_closed_set(ds, members, params.delta), members
+        for iv in members:
+            s = ds.string_of(iv)
+            lo, hi = s.contig_bounds(iv.i)
+            if iv.i == 1 or iv.j == len(s):
+                kinds.add("string_end")
+            if (iv.i == lo > 1) or (iv.j == hi < len(s)):
+                kinds.add("contig_break")
     return kinds
 
 
@@ -199,8 +247,8 @@ def test_extension_masks_non_hereditary_witness(witness):
     clique = tuple(next(v for v, iv in enumerate(g.vertices) if str(iv) == name)
                    for name in WITNESS_CLOSED)
     masks = extension_masks(g)
-    assert is_closed_clique(masks, clique)
-    assert not is_closed_clique(masks, clique[:2])
+    assert closed_core(masks, clique) == clique
+    assert closed_core(masks, clique[:2]) == clique[1:2]
     assert WITNESS_CLOSED in {tuple(str(m) for m in s.members)
                               for s in assemble(enumerate_pairs(witness, params),
                                                 witness, params)}

@@ -73,6 +73,18 @@ def test_ist_error_reports_line_number():
     assert ":2:" in str(exc.value)
 
 
+@pytest.mark.parametrize("text, line, needle", [
+    (">A\na\n#\n#\nb\n", 4, "directly after the break on line 3"),
+    (">A\na\n#\n% note\n\n#\nb\n", 6, "directly after the break on line 3"),
+    (">A\na\n#\n>B\nb\n", 3, "after the last position of string 'A'"),
+    (">A\na\nb\n#\n% note\n", 4, "after the last position of string 'A'"),
+])
+def test_ist_rejects_break_without_position_after(text, line, needle):
+    with pytest.raises(FormatError) as exc:
+        parse_ist(io.StringIO(text), filename="in.ist")
+    assert f"in.ist:{line}:" in str(exc.value) and needle in str(exc.value)
+
+
 def test_write_ist_rejects_unencodable_labels():
     ds = make_dataset(("A", [["a b"]]))
     with pytest.raises(FormatError):

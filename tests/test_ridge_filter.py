@@ -1,12 +1,12 @@
 import pytest
 
-from awci.bench import width_bound
 from awci.model import SearchParams
 from awci.oracle import brute_force_pairs
 from awci.ridge import build_all_ridge_t, filter_position
 from awci.sweep import enumerate_pairs, refine_bounds
 from awci.synth import random_instance
 from awci.tables import build_pos_tables
+from bench import width_bound
 from conftest import make_dataset
 
 
