@@ -1,11 +1,12 @@
 """Per-unit ridge bound on the right end of any pair a left bound can start.
 
 For an ordered pair (x, y), positions of S_y that share nothing with S_x are
-trivial indels; the maximal runs between them (split at contig breaks) are the
-*ridges* of S_y, and `ridge_c[y][x]` gives each ridge its own level. The
-*neighbourhood* of a ridge is the widest span around it, inside its contig,
-with at most `delta` trivial indels on each side; its *reach mask* is the OR
-of the hit masks `hitmask[y][x]` over that span, a set of positions of S_x.
+trivial indels, the set bits of `nohit[y][x]`; the maximal runs between them
+(split at contig breaks) are the *ridges* of S_y, each known by its first
+position. The *neighbourhood* of a ridge is the widest span around it, inside
+its contig, with at most `delta` trivial indels on each side; its *reach mask*
+is the OR of the hit masks `hitmask[y][x]` over that span, a set of positions
+of S_x.
 
 Take a pair ([i, j]_x, [k, l]_y). By endpoint anchoring some position p of
 [k, l] hits i, and [k, l] holds at most `delta` trivial indels, so it lies
@@ -15,14 +16,12 @@ positions of [i, j] are not. Hence j is at most the last reached position
 before the (delta + 1)-th unreached one from i, for some ridge hit by S_x[i];
 `filter_position` returns the largest such end.
 
-A `RidgeT` holds the reach masks of one ordered pair, keyed by ridge level
-and filled on first use, so the bound costs work per ridge the sweep
-actually meets. The cache is safe to fill from several threads: a key is
-only ever given one value, computed from read-only tables.
+A `RidgeT` holds the reach masks of one ordered pair, keyed by the ridge's
+first position and filled on first use, so the bound costs work per ridge
+the sweep actually meets. The cache is safe to fill from several threads: a
+key is only ever given one value, computed from read-only tables.
 """
 from __future__ import annotations
-
-from bisect import bisect_left, bisect_right
 
 from .model import IndeterminateString, SearchParams
 from .tables import PairTables, set_bits, window
@@ -31,16 +30,17 @@ from .tables import PairTables, set_bits, window
 class RidgeT:
     """Reach masks on S_x of the ridges of S_y, for one ordered pair (x, y)."""
 
-    __slots__ = ("sy", "rc", "hits", "delta", "masks", "spans")
+    __slots__ = ("sy", "nohit", "hits", "delta", "masks", "spans")
 
-    def __init__(self, sy: IndeterminateString, rc: list[int], hits: list[int],
+    def __init__(self, sy: IndeterminateString, nohit: int, hits: list[int],
                  delta: int) -> None:
         self.sy = sy            # the trans string S_y
-        self.rc = rc            # ridge_c[y][x]: ridge levels of S_y
+        self.nohit = nohit      # nohit[y][x]: trivial indels of S_y
         self.hits = hits        # hitmask[y][x]
         self.delta = delta
-        self.masks: dict[int, int] = {}  # ridge level -> reach mask on S_x
-        self.spans: dict[int, int] = {}  # ridge level -> neighbourhood length
+        # keyed by the ridge's first position
+        self.masks: dict[int, int] = {}  # reach mask on S_x
+        self.spans: dict[int, int] = {}  # neighbourhood length
 
     @property
     def width(self) -> int:
@@ -49,32 +49,35 @@ class RidgeT:
 
     def reach(self, p: int) -> int:
         """The reach mask of the ridge holding p, a position of S_y hitting S_x."""
-        rc = self.rc
-        level = rc[p]
-        mask = self.masks.get(level)
+        lo, hi = self.sy.contig_bounds(p)
+        # the trivial indels of p's contig before p; the last one sits just
+        # before p's ridge
+        left = self.nohit & window(lo, p - 1)
+        first = left.bit_length() or lo
+        mask = self.masks.get(first)
         if mask is not None:
             return mask
-        delta, hits = self.delta, self.hits
-        lo, hi = self.sy.contig_bounds(p)
-        # the level just before lo, without the break cost folded into lo's step
-        base = rc[lo] - (0 if hits[lo] else 1)
-        if level - base <= delta:
-            k_star = lo
-        else:
-            k_star = bisect_left(rc, level - delta, lo, p) + 1
-        l_star = bisect_right(rc, level + delta, p, hi + 1) - 1
+        right = self.nohit & window(p + 1, hi)
+        # drop the delta trivial indels nearest p on each side; the next ones,
+        # if any, lie just outside the neighbourhood
+        for _ in range(self.delta):
+            left ^= 1 << left.bit_length() >> 1
+            right &= right - 1
+        k_star = left.bit_length() or lo
+        l_star = (right & -right).bit_length() - 2 if right else hi
+        hits = self.hits
         mask = 0
         for q in range(k_star, l_star + 1):
             mask |= hits[q]
-        self.spans[level] = l_star - k_star + 1
-        self.masks[level] = mask
+        self.spans[first] = l_star - k_star + 1
+        self.masks[first] = mask
         return mask
 
 
 def build_all_ridge_t(tables: PairTables, delta: int) -> list[list[RidgeT | None]]:
     """Empty reach-mask caches for every ordered pair, at budget `delta`."""
     m = len(tables.dataset)
-    return [[RidgeT(tables.dataset[y], tables.ridge_c[y][x], tables.hitmask[y][x], delta)
+    return [[RidgeT(tables.dataset[y], tables.nohit[y][x], tables.hitmask[y][x], delta)
              if x != y else None for y in range(m)] for x in range(m)]
 
 

@@ -51,7 +51,8 @@ def refine_bounds(tables: PairTables, ridge_t, x: int, i: int, live: list[int],
 
 
 def collect_anchors(tables: PairTables, x: int, y: int, i: int, delta: int) -> list[int]:
-    """Sorted union of Pos rows for reference positions i..i+delta (contig-clamped)."""
+    """Positions of S_y hitting any of reference positions i..i+delta of S_x
+    (contig-clamped), ascending."""
     masks = tables.hitmask[x][y]
     hi = min(i + delta, tables.dataset[x].contig_bounds(i)[1])
     union = 0
@@ -183,12 +184,12 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
       * min-size lookahead: with jt = i + min_size - 1, a unit whose contig
         ends before jt stops at once, and a string S_y hitting i stays live
         only if [i, jt] has at most delta positions hitting nothing in S_y
-        (`ridge_c[x][y][jt] - ridge_c[x][y][i]`); the unit stops before the
-        ridge bound when fewer than quorum - 1 strings stay live. This is exact:
-        a position hitting nothing in S_y is an indel of every pair of [i, j]
-        with an interval of S_y, and that count never falls as j grows, so
-        no [i, j] with j >= jt pairs with S_y, and every j < jt is below
-        `min_size` anyway;
+        (the bits of `nohit[x][y]` in `window(i, jt)`); the unit stops
+        before the ridge bound when fewer than quorum - 1 strings stay live.
+        This is exact: a position hitting nothing in S_y is an indel of every
+        pair of [i, j] with an interval of S_y, and that count never falls as
+        j grows, so no [i, j] with j >= jt pairs with S_y, and every j < jt
+        is below `min_size` anyway;
       * the ridge bound (`refine_bounds`): the right bounds J, the contig
         suffix of i, stop at the (quorum - 1)-th largest per-string end of
         `ridge.filter_position` over the live strings, which no j of a pair
@@ -230,10 +231,11 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
         jt = i + params.min_size - 1
         if jt > sx.contig_bounds(i)[1]:
             return []
-        rc = tables.ridge_c[x]
+        nohit = tables.nohit[x]
         strings_at = tables.strings_at[x]
+        w = window(i, jt)
         live = [y for y in set_bits(strings_at[i])
-                if rc[y][jt] - rc[y][i] <= params.delta]
+                if (nohit[y] & w).bit_count() <= params.delta]
         if len(live) < quorum - 1:
             return []
         live_mask = sum(1 << y for y in live)

@@ -1,47 +1,38 @@
 """Precomputed per-ordered-pair index tables.
 
-For every ordered string pair (x, y) three structures are built once and
+For every ordered string pair (x, y) two structures are built once and
 shared read-only afterwards, plus one per string:
 
-  * pos[x][y][i]     -- sorted positions k of S_y whose set intersects S_x[i]
-  * hitmask[x][y][i] -- the same positions as one int, bit k set for each k in
-                        pos[x][y][i]; the sweep intersects it with a window of
-                        bits to get the hits of S_x[i] inside an interval of S_y
-  * ridge_c[x][y]    -- prefix counts of positions of S_x sharing nothing with
-                        S_y at all (trivial indels), with a sentinel 0 entry so
-                        differences at i = 1 are well defined
+  * hitmask[x][y][i] -- the positions k of S_y whose set intersects S_x[i], as
+                        one int with bit k set for each; the sweep intersects
+                        it with a window of bits to get the hits of S_x[i]
+                        inside an interval of S_y
+  * nohit[x][y]      -- the positions of S_x sharing nothing with S_y at all
+                        (trivial indels), as one int with bit p set for each;
+                        the trivial indels of [i, j]_x are its bits in
+                        window(i, j)
   * strings_at[x][i] -- the strings S_x[i] hits, as one int: bit y set iff
                         hitmask[x][y][i] != 0; the sweep reads which strings
                         can anchor an endpoint i from it in one operation
 
-Contig breaks of S_x are folded into ridge_c as huge additive steps, so any
-difference across a break exceeds every realistic indel budget.
-
-`pos` has no reader in the search any more; it is kept only because the
-benchmark's traced run counts its entries (`tables.pos_entries`).
+Contig breaks are not in these tables; readers take them from
+`IndeterminateString.contig_bounds`.
 
 These tables never change after the build. The per-pair reach-mask caches of
 `ridge.RidgeT` are the only structures the sweep fills as it goes; that is
 safe under `threads > 1` because a cache key always gets the same value.
 
 The work per ordered pair follows shared occurrences, not positions: every
-list starts as its default for a position hitting nothing (one shared empty
-row, mask 0, a ridge_c step of 1), made by list multiplication or copied
-from one per-string step list, and only the occurrences in S_x of the
-characters S_x and S_y share are visited to overwrite it.
+hit mask starts as 0, made by list multiplication, and only the occurrences
+in S_x of the characters S_x and S_y share are visited to set its bits.
 """
 from __future__ import annotations
 
-from itertools import accumulate
-
 from .model import AwciError, Dataset
-
-# Step cost injected at contig breaks; dwarfs any usable delta.
-BREAK_COST = 1 << 40
 
 
 class PairTables:
-    """Pos, hit-mask and Ridge^c tables for all ordered string pairs of a dataset,
+    """Hit-mask and no-hit tables for all ordered string pairs of a dataset,
     and the per-position masks of the strings each position hits."""
 
     def __init__(self, dataset: Dataset) -> None:
@@ -66,44 +57,36 @@ class PairTables:
             occ.append(d)
             occ_bits.append(b)
 
-        # defaults of a position hitting nothing; a step of 1 per position
-        # plus BREAK_COST at the first position after each break
-        empty: list[int] = []
-        self.pos: list[list[list[list[int]] | None]] = [[None] * m for _ in range(m)]
         self.hitmask: list[list[list[int] | None]] = [[None] * m for _ in range(m)]
-        self.ridge_c: list[list[list[int] | None]] = [[None] * m for _ in range(m)]
+        self.nohit: list[list[int | None]] = [[None] * m for _ in range(m)]
         self.strings_at: list[list[int]] = []
         for x in range(m):
-            sx = dataset[x]
-            n = len(sx)
-            steps_x = [0] + [1] * n
-            for b in sx.contig_breaks:
-                steps_x[b + 1] += BREAK_COST
+            n = len(dataset[x])
             at = [0] * (n + 1)
             for y in range(m):
                 if x == y:
                     continue
                 y_bit = 1 << y
-                oy, by = occ[y], occ_bits[y]
-                rows: list[list[int]] = [empty] * (n + 1)  # index 0 unused
-                masks = [0] * (n + 1)
-                steps = steps_x.copy()
-                for c in occ[x].keys() & oy.keys():
-                    row, bits = oy[c], by[c]
+                by = occ_bits[y]
+                masks = [0] * (n + 1)  # index 0 unused
+                hit = 0
+                for c in occ[x].keys() & by.keys():
+                    bits = by[c]
+                    hit |= occ_bits[x][c]
                     for p in occ[x][c]:
-                        if masks[p]:
-                            # hit through a second character: sorted union row
-                            rows[p] = sorted({*rows[p], *row})
-                            masks[p] |= bits
-                        else:
-                            rows[p] = row
-                            masks[p] = bits
-                            steps[p] -= 1
-                            at[p] |= y_bit
-                self.pos[x][y] = rows
+                        masks[p] |= bits
+                        at[p] |= y_bit
                 self.hitmask[x][y] = masks
-                self.ridge_c[x][y] = list(accumulate(steps))
+                self.nohit[x][y] = window(1, n) & ~hit
             self.strings_at.append(at)
+
+    @property
+    def pos(self) -> list[list[list[list[int]] | None]]:
+        """pos[x][y][i]: the sorted positions of S_y whose set intersects
+        S_x[i], read off `hitmask` on every access; only the benchmark's
+        traced run reads it."""
+        return [[None if masks is None else [set_bits(mask) for mask in masks]
+                 for masks in row] for row in self.hitmask]
 
 
 def set_bits(mask: int) -> list[int]:
@@ -126,4 +109,3 @@ def build_pos_tables(dataset: Dataset) -> PairTables:
     if len(dataset) < 2:
         raise AwciError("need at least 2 strings")
     return PairTables(dataset)
-

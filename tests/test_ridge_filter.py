@@ -23,7 +23,7 @@ def test_width_one_for_fully_shared_pair():
     assert rt.width == 0  # nothing is built before the sweep asks
     assert rt.reach(1) == bits(1, 2, 3)
     assert rt.width == 1
-    assert rt.masks == {t.ridge_c[1][0][1]: bits(1, 2, 3)}
+    assert rt.masks == {1: bits(1, 2, 3)}  # keyed by the ridge's first position
 
 
 def test_demo_pair_single_ridge(demo):
@@ -42,7 +42,7 @@ def test_vectors_mark_reachable_ridges():
     ds = make_dataset(("S", [["a"], ["q"], ["b"]]),
                       ("T", [["a"], ["z"], ["b"]]))
     t = build_pos_tables(ds)
-    # T ridges: position 1 (level 0) and position 3 (level 1), split by {z}
+    # T ridges: the one starting at position 1 and the one at 3, split by {z}
     rt0 = build_all_ridge_t(t, 0)
     assert rt0[0][1].reach(1) == bits(1) and rt0[0][1].reach(3) == bits(3)
     assert filter_position(t, rt0, 0, 1, 1, SearchParams(delta=0)) == 1
@@ -99,10 +99,13 @@ def test_reach_masks_match_literal_neighbourhoods():
                         while l < hi and cost + trivial(l + 1) <= delta:
                             l += 1
                             cost += trivial(l)
+                        first = p
+                        while first > lo and not trivial(first - 1):
+                            first -= 1
                         want = bits(*(i for i in range(1, len(sx) + 1)
                                       if any(sx.at(i) & sy.at(q) for q in range(k, l + 1))))
                         assert rt[x][y].reach(p) == want, (seed, delta, x, y, p)
-                        assert rt[x][y].spans[t.ridge_c[y][x][p]] == l - k + 1
+                        assert rt[x][y].spans[first] == l - k + 1
 
 
 def test_bound_covers_every_oracle_pair():
@@ -137,6 +140,18 @@ def test_bound_stays_inside_contigs():
     rt = build_all_ridge_t(t, 2)
     assert rt[0][1].reach(1) == bits(1, 2) and rt[0][1].width == 2
     assert filter_position(t, rt, 0, 1, 1, params) == 2
+
+
+def test_reach_cache_keeps_contigs_apart():
+    # each contig of T starts with a ridge, and no trivial indel precedes
+    # either, so only the contig's first position tells the two ridges apart
+    ds = make_dataset(("S", [["a"], ["b"], ["c"], ["d"]]),
+                      ("T", [["a"], ["b"], ["c"], ["d"]], [2]))
+    t = build_pos_tables(ds)
+    rt = build_all_ridge_t(t, 0)[0][1]
+    assert rt.reach(1) == bits(1, 2)
+    assert rt.reach(3) == rt.reach(4) == bits(3, 4)
+    assert rt.masks == {1: bits(1, 2), 3: bits(3, 4)}
 
 
 def test_filter_identical_strings_always_true():
@@ -175,7 +190,7 @@ def test_filter_kills_string_whose_ridges_are_too_far_apart(delta):
         trans += gap + [[c]]
     ds = make_dataset(("S", [[c] for c in chars]), ("T", trans))
     t = build_pos_tables(ds)
-    assert t.ridge_c[0][1][1] == t.ridge_c[0][1][delta + 2]
+    assert t.nohit[0][1] == 0
     rt = build_all_ridge_t(t, delta)
     params = SearchParams(delta=delta, quorum=2, min_size=1)
     assert rt[0][1].reach(1) == bits(1)

@@ -26,7 +26,7 @@ def test_collect_anchors_demo(demo):
     t = build_pos_tables(demo)
     # g occurs only at S3 position 2
     assert collect_anchors(t, 0, 2, 1, 0) == [2]
-    # union with Pos[2] (b or p): {g,b} at 2, {p,s} at 4, {a,b} at 6
+    # union with the hits of S1:2 (b or p): {g,b} at 2, {p,s} at 4, {a,b} at 6
     assert collect_anchors(t, 0, 2, 1, 1) == [2, 4, 6]
 
 

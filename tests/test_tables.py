@@ -1,11 +1,11 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from awci.model import AnchoredInterval, AwciError
 from awci.oracle import judge_pair
 from awci.synth import random_instance
-from awci.tables import BREAK_COST, build_pos_tables
+from awci.tables import build_pos_tables, window
 from conftest import make_dataset
 
 
@@ -76,36 +76,34 @@ def test_strings_at_matches_literal_scan():
                            for y in range(m) if y != x)
 
 
-def test_ridge_c_demo(demo_tables):
+def test_nohit_demo(demo_tables):
     # S1 positions 3 ({x}) and 9 ({v,l}) share nothing with S3
-    assert demo_tables.ridge_c[0][2] == [0, 0, 0, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2]
+    assert demo_tables.nohit[0][2] == (1 << 3) | (1 << 9)
     # every S1 set intersects C(S2)
-    assert demo_tables.ridge_c[0][1] == [0] * 13
+    assert demo_tables.nohit[0][1] == 0
 
 
-def test_ridge_c_identical_strings():
+def test_nohit_identical_strings():
     ds = make_dataset(("S", [["a"], ["b"]]), ("T", [["a"], ["b"]]))
     t = build_pos_tables(ds)
-    assert t.ridge_c[0][1] == [0, 0, 0]
+    assert t.nohit[0][1] == 0
 
 
-def test_ridge_c_steps_match_empty_rows():
-    for seed in range(40):
-        ds = random_instance(seed, break_prob=0.3)
+def test_nohit_matches_literal_scan():
+    for seed, break_prob in product(range(40), (0.3, 0.4)):
+        ds = random_instance(seed, break_prob=break_prob)
         t = build_pos_tables(ds)
         for x in range(len(ds)):
-            breaks = ds[x].contig_breaks
+            sx = ds[x]
             for y in range(len(ds)):
                 if x == y:
                     continue
-                rc = t.ridge_c[x][y]
-                assert len(rc) == len(ds[x]) + 1 and rc[0] == 0
-                for p in range(1, len(ds[x]) + 1):
-                    step = rc[p] - rc[p - 1]
-                    assert step % BREAK_COST in (0, 1)
-                    assert (step % BREAK_COST == 1) == (not t.pos[x][y][p])
-                    # the break cost sits on the first position after a break
-                    assert (step // BREAK_COST == 1) == (p > 1 and (p - 1) in breaks)
+                shared = ds[y].char_set()
+                nohit = t.nohit[x][y]
+                # no bit outside positions 1..n
+                assert nohit & ~window(1, len(sx)) == 0
+                for p in range(1, len(sx) + 1):
+                    assert (nohit >> p & 1) == (not sx.at(p) & shared)
 
 
 def test_awci_pairs_live_on_one_ridge():
@@ -123,9 +121,8 @@ def test_awci_pairs_live_on_one_ridge():
                                        AnchoredInterval(sy.id, k, l), delta)
                         if v.is_awci:
                             # why a ridge neighbourhood bounds every pair
-                            rc_xy, rc_yx = t.ridge_c[xi][yi], t.ridge_c[yi][xi]
-                            assert rc_xy[j] - rc_xy[i] <= delta
-                            assert rc_yx[l] - rc_yx[k] <= delta
+                            assert (t.nohit[xi][yi] & window(i, j)).bit_count() <= delta
+                            assert (t.nohit[yi][xi] & window(k, l)).bit_count() <= delta
 
 
 def test_build_requires_two_strings():
