@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 from contextlib import contextmanager
 
@@ -41,6 +42,28 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def thread_count(text: str) -> int:
+    """--threads: a worker count from 1 to the machine's CPU count."""
+    n = int(text)
+    cap = os.cpu_count() or 1
+    if not 1 <= n <= cap:
+        raise argparse.ArgumentTypeError(f"must be from 1 to {cap} (the CPU count), "
+                                         f"got {n}")
+    return n
+
+
+def delta_list(text: str) -> list[int]:
+    """--delta-list: comma-separated deltas, at least one."""
+    try:
+        deltas = [int(v) for v in text.split(",") if v]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expects comma-separated integers, got {text!r}") from None
+    if not deltas:
+        raise argparse.ArgumentTypeError(f"names no delta: {text!r}")
+    return deltas
+
+
 def build_parser() -> Parser:
     parser = Parser(prog="awci", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -49,7 +72,7 @@ def build_parser() -> Parser:
         p.add_argument("--delta", type=int, default=0)
         p.add_argument("--quorum", type=int, default=2)
         p.add_argument("--min-size", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=thread_count, default=1)
 
     p = sub.add_parser("ingest", help="homology table to IST")
     p.add_argument("--homology", required=True)
@@ -81,7 +104,7 @@ def build_parser() -> Parser:
 
     p = sub.add_parser("verify", help="pair and closed-set differentials against the oracle")
     p.add_argument("--seeds", type=int, default=100)
-    p.add_argument("--delta-list", default="0,1,2")
+    p.add_argument("--delta-list", type=delta_list, default="0,1,2")
     p.add_argument("--min-size", type=int, default=1)
     return parser
 
@@ -207,7 +230,7 @@ def verify_seed(seed: int, delta: int, min_size: int) -> list[str]:
 
 
 def cmd_verify(args) -> int:
-    deltas = [int(v) for v in args.delta_list.split(",") if v]
+    deltas = args.delta_list
     matches = 0
     for seed in range(args.seeds):
         problems = verify_seed(seed, deltas[seed % len(deltas)], args.min_size)

@@ -69,12 +69,15 @@ def parse_ist(fh: IO[str], alphabet: Alphabet | None = None,
 
     lineno = 0
     for lineno, raw in enumerate(fh, start=1):
-        line = raw.strip()
-        if not line or line.startswith("%"):
+        labels = raw.split()
+        if not labels:
             continue
-        if line.startswith(">"):
+        lead = labels[0][0]
+        if lead == "%":
+            continue
+        if lead == ">":
             flush(lineno)
-            sid = line[1:].strip()
+            sid = raw.strip()[1:].strip()
             if not sid:
                 raise FormatError(f"{filename}:{lineno}: missing string id after '>'")
             if sid in seen:
@@ -84,7 +87,7 @@ def parse_ist(fh: IO[str], alphabet: Alphabet | None = None,
             continue
         if cur_id is None:
             raise FormatError(f"{filename}:{lineno}: position line before any '>' header")
-        if line == "#":
+        if lead == "#" and labels == ["#"]:
             if not cur_positions:
                 raise FormatError(f"{filename}:{lineno}: contig break before first position")
             if cur_breaks and cur_breaks[-1] == len(cur_positions):
@@ -93,9 +96,6 @@ def parse_ist(fh: IO[str], alphabet: Alphabet | None = None,
             cur_breaks.append(len(cur_positions))
             break_line = lineno
             continue
-        labels = line.split()
-        if not labels:
-            raise FormatError(f"{filename}:{lineno}: position with no characters")
         cur_positions.append(labels)
     flush(lineno)
     if not strings:

@@ -6,6 +6,7 @@ after construction and safe to share between worker threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, count, repeat
 from typing import Iterable, Iterator, Sequence
 
 
@@ -42,14 +43,20 @@ class Alphabet:
 
     def intern(self, label: str) -> int:
         """Return the stable id for `label`, assigning the next dense id if new."""
-        if not label:
-            raise FormatError("empty character label")
-        cid = self._ids.get(label)
-        if cid is None:
-            cid = len(self._labels)
-            self._ids[label] = cid
-            self._labels.append(label)
+        (cid,) = self.intern_sets([[label]])[0]
         return cid
+
+    def intern_sets(self, label_sets: Sequence[Sequence[str]]) -> list[frozenset[int]]:
+        """The id set of each label sequence; new labels get the next dense ids
+        in first-seen order. Each distinct label is looked up once to find the
+        new ones, then each occurrence once to read its id."""
+        ids = self._ids
+        fresh = [l for l in dict.fromkeys(chain.from_iterable(label_sets)) if l not in ids]
+        if "" in fresh:
+            raise FormatError("empty character label")
+        ids.update(zip(fresh, count(len(self._labels))))
+        self._labels.extend(fresh)
+        return [frozenset(map(ids.__getitem__, labels)) for labels in label_sets]
 
     def label(self, cid: int) -> str:
         return self._labels[cid]
@@ -74,12 +81,14 @@ class IndeterminateString:
                  contig_breaks: Iterable[int] = ()) -> None:
         if not id:
             raise ValidationError("string id must be non-empty")
-        positions = tuple(frozenset(p) for p in positions)
+        # frozenset() hands back a frozenset argument itself, so only other
+        # iterables are copied
+        positions = tuple(map(frozenset, positions))
         if not positions:
             raise ValidationError(f"string {id!r} has no positions")
-        for idx, p in enumerate(positions):
-            if not p:
-                raise ValidationError(f"string {id!r}: empty set at position {idx + 1}")
+        if not all(positions):
+            idx = positions.index(frozenset())
+            raise ValidationError(f"string {id!r}: empty set at position {idx + 1}")
         breaks = frozenset(int(b) for b in contig_breaks)
         n = len(positions)
         for b in breaks:
@@ -93,7 +102,8 @@ class IndeterminateString:
         starts = [1] + [b + 1 for b in sorted(breaks)]
         ends = [s - 1 for s in starts[1:]] + [n]
         self._contigs = tuple(zip(starts, ends))
-        self._contig_of = tuple(c for c in self._contigs for _ in range(c[0], c[1] + 1))
+        self._contig_of = tuple(chain.from_iterable(
+            repeat(c, c[1] - c[0] + 1) for c in self._contigs))
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -155,13 +165,11 @@ class IndeterminateString:
 def build_string(alphabet: Alphabet, id: str, label_sets: Sequence[Iterable[str]],
                  contig_breaks: Iterable[int] = ()) -> IndeterminateString:
     """Intern labels and construct a validated IndeterminateString."""
-    positions = []
-    for idx, labels in enumerate(label_sets):
-        labels = list(labels)
-        if not labels:
-            raise ValidationError(f"string {id!r}: empty set at position {idx + 1}")
-        positions.append(frozenset(alphabet.intern(l) for l in labels))
-    return IndeterminateString(id, positions, contig_breaks)
+    label_sets = list(map(list, label_sets))
+    if not all(label_sets):
+        idx = label_sets.index([])
+        raise ValidationError(f"string {id!r}: empty set at position {idx + 1}")
+    return IndeterminateString(id, alphabet.intern_sets(label_sets), contig_breaks)
 
 
 @dataclass(frozen=True, order=True)

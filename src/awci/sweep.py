@@ -41,12 +41,24 @@ def refine_bounds(tables: PairTables, ridge_t, x: int, i: int, live: list[int],
 
     A pair ([i, j]_x, [k, l]_y) needs j <= `filter_position(..., x, y, i, ...)`,
     and [i, j] needs intervals of quorum - 1 strings, all among `live`, the
-    strings hitting i that may still pair; with fewer of them J is empty.
+    strings hitting i that may still pair; with fewer of them J is empty. J
+    is empty too, without bounding the remaining strings, once more than
+    len(live) - (quorum - 1) strings end before i + min_size - 1: the cap
+    would then leave no j long enough.
     """
-    if len(live) < params.quorum - 1:
+    short_max = len(live) - (params.quorum - 1)
+    if short_max < 0:
         return []
-    ends = sorted((filter_position(tables, ridge_t, x, y, i, params) for y in live),
-                  reverse=True)
+    jt = i + params.min_size - 1
+    ends = []
+    for y in live:
+        end = filter_position(tables, ridge_t, x, y, i, params)
+        if end < jt:
+            short_max -= 1
+            if short_max < 0:
+                return []
+        ends.append(end)
+    ends.sort(reverse=True)
     return J[:ends[params.quorum - 2] - i + 1]
 
 
@@ -195,8 +207,12 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
         `ridge.filter_position` over the live strings, which no j of a pair
         with that string exceeds (the `ridge` module says why); any
         quorum - 1 strings with intervals for [i, j] are among the live
-        ones. A unit whose J is then shorter than `min_size` stops before
-        anchors are collected;
+        ones. The bound stops early, with J empty, once more than
+        len(live) - (quorum - 1) strings end before jt: fewer than quorum - 1
+        ends then reach jt, so the cap would leave J shorter than `min_size`
+        anyway; at quorum = m that is the first string ending before jt. A
+        unit whose J is shorter than `min_size` stops before anchors are
+        collected;
       * a right bound j is skipped when fewer than quorum - 1 live strings
         also hit j, or when no string after x has an interval for
         [i, j], since only those are reported;
@@ -242,7 +258,7 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
         J = candidate_right_bounds(tables, ridge_t, x, i, params)
         if use_filter:
             J = refine_bounds(tables, ridge_t, x, i, live, J, params)
-        if J[-1] - i + 1 < params.min_size:
+        if not J or J[-1] - i + 1 < params.min_size:
             return []
         anchors = {y: collect_anchors(tables, x, y, i, params.delta) for y in live}
         found: list[AwciPair] = []

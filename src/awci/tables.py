@@ -22,6 +22,10 @@ These tables never change after the build. The per-pair reach-mask caches of
 `ridge.RidgeT` are the only structures the sweep fills as it goes; that is
 safe under `threads > 1` because a cache key always gets the same value.
 
+Only characters held by two or more strings can make a hit, so only they are
+indexed: the shared characters come from one set union per string, and a
+position holding none of them is skipped without a bit (its hit masks stay 0,
+its `strings_at` entry 0, and it is a trivial indel against every string).
 The work per ordered pair follows shared occurrences, not positions: every
 hit mask starts as 0, made by list multiplication, and only the occurrences
 in S_x of the characters S_x and S_y share are visited to set its bits.
@@ -38,14 +42,25 @@ class PairTables:
     def __init__(self, dataset: Dataset) -> None:
         self.dataset = dataset
         m = len(dataset)
-        # occurrences: for each string, char id -> sorted positions, and
-        # char id -> the int with those positions' bits set
+        # the characters at least two strings hold; no pair can use the rest
+        seen: set[int] = set()
+        shared: set[int] = set()
+        for s in dataset:
+            chars = set().union(*s.positions)
+            shared |= seen & chars
+            seen |= chars
+        # occurrences at the positions holding a shared character: for each
+        # string, char id -> sorted positions, and char id -> the int with
+        # those positions' bits set (a private character beside a shared one
+        # is kept too; no other string's keys match it)
         occ: list[dict[int, list[int]]] = []
         occ_bits: list[dict[int, int]] = []
         for s in dataset:
             d: dict[int, list[int]] = {}
             b: dict[int, int] = {}
             for p, chars in enumerate(s.positions, start=1):
+                if chars.isdisjoint(shared):
+                    continue
                 bit = 1 << p
                 for c in chars:
                     if c in d:
@@ -60,20 +75,19 @@ class PairTables:
         self.hitmask: list[list[list[int] | None]] = [[None] * m for _ in range(m)]
         self.nohit: list[list[int | None]] = [[None] * m for _ in range(m)]
         self.strings_at: list[list[int]] = []
-        for x in range(m):
+        for x, (ox, bx) in enumerate(zip(occ, occ_bits)):
             n = len(dataset[x])
             at = [0] * (n + 1)
-            for y in range(m):
+            for y, by in enumerate(occ_bits):
                 if x == y:
                     continue
                 y_bit = 1 << y
-                by = occ_bits[y]
                 masks = [0] * (n + 1)  # index 0 unused
                 hit = 0
-                for c in occ[x].keys() & by.keys():
+                for c in ox.keys() & by.keys():
                     bits = by[c]
-                    hit |= occ_bits[x][c]
-                    for p in occ[x][c]:
+                    hit |= bx[c]
+                    for p in ox[c]:
                         masks[p] |= bits
                         at[p] |= y_bit
                 self.hitmask[x][y] = masks

@@ -1,3 +1,7 @@
+import os
+
+import pytest
+
 import awci.cli as cli
 from awci.ioformats import parse_sets, write_ist
 
@@ -148,3 +152,27 @@ def test_verify_rederives_pairs_with_oracle(monkeypatch, capsys):
     monkeypatch.setattr(awci.sweep, "make_pair", lambda *args: None)
     assert cli.main(["verify", "--seeds", "3"]) == 2
     assert "disagrees with oracle.make_pair" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["1,x", ","])
+def test_verify_bad_delta_list_is_usage_error(value, capsys):
+    # "1,x" is not an int list and "," names no delta
+    assert cli.main(["verify", "--seeds", "1", "--delta-list", value]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "--delta-list" in err
+
+
+@pytest.mark.parametrize("command", ["pairs", "sets"])
+def test_threads_outside_cpu_count_is_usage_error(command, demo, tmp_path,
+                                                  monkeypatch, capsys):
+    import awci.sweep
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(awci.sweep, "ThreadPoolExecutor", no_pool)
+    ist = write_demo(demo, tmp_path)
+    for threads in (0, (os.cpu_count() or 1) + 1):
+        assert cli.main([command, ist, "--threads", str(threads)]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "--threads" in err

@@ -162,6 +162,51 @@ def test_refine_abandons_unreachable_left_bound():
     assert refine_bounds(t, rt, 0, 1, [1], [1, 2, 3], params) == [1]
 
 
+def test_refine_stops_at_first_fatal_string_at_full_quorum(monkeypatch):
+    # quorum = m = 4, delta = 0, min_size = 4: for a unit at position 1 every
+    # other string is live, and U's ridge (U:1-2, cut by z) reaches only
+    # positions 1-2, short of jt = 4. At full quorum one such string ends the
+    # unit, so V, after U in `live`, is never bounded.
+    ds = make_dataset(("S", [["a"], ["b"], ["c"], ["d"]]),
+                      ("T", [["a"], ["b"], ["c"], ["d"]]),
+                      ("U", [["a"], ["b"], ["z"], ["c"], ["d"]]),
+                      ("V", [["a"], ["b"], ["c"], ["d"]]))
+    original = awci.sweep.filter_position
+    calls = []
+
+    def counting(tables, ridge_t, x, y, i, params):
+        end = original(tables, ridge_t, x, y, i, params)
+        calls.append((x, y, i, end))
+        return end
+
+    params = SearchParams(delta=0, quorum=4, min_size=4)
+    monkeypatch.setattr(awci.sweep, "filter_position", counting)
+    got = list(enumerate_pairs(ds, params))
+    # units S:1 and T:1 each stop at U; S:2-4 and T:2-4 end before jt, and
+    # no unit of U is live past the lookahead (z at U:3)
+    assert calls == [(0, 1, 1, 4), (0, 2, 1, 2), (1, 0, 1, 4), (1, 2, 1, 2)]
+    assert got == list(enumerate_pairs(ds, params, use_filter=False)) == []
+    # with a quorum one lower U may be the string left out, so all are bounded
+    calls.clear()
+    lower = SearchParams(delta=0, quorum=3, min_size=4)
+    assert list(enumerate_pairs(ds, lower)) == \
+        list(enumerate_pairs(ds, lower, use_filter=False)) != []
+    assert [c[:3] for c in calls[:3]] == [(0, 1, 1), (0, 2, 1), (0, 3, 1)]
+
+
+def test_enumerate_pairs_full_quorum_filter_matches_unfiltered():
+    # the early exit of the ridge bound drops no pair at quorum = m
+    nonempty = 0
+    for seed in range(40):
+        ds = random_instance(seed, break_prob=0.3)
+        for delta, min_size in ((0, 2), (1, 3), (1, 4)):
+            params = SearchParams(delta=delta, quorum=len(ds), min_size=min_size)
+            got = list(enumerate_pairs(ds, params))
+            assert got == list(enumerate_pairs(ds, params, use_filter=False))
+            nonempty += bool(got)
+    assert nonempty > 20
+
+
 def test_enumerate_pairs_refuses_ridge_t_of_another_delta(demo):
     t = build_pos_tables(demo)
     params = SearchParams(delta=1, quorum=3, min_size=6)

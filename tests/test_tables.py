@@ -39,19 +39,20 @@ def test_pos_duality():
     for seed in range(40):
         ds = random_instance(seed, break_prob=0.3)
         t = build_pos_tables(ds)
+        pos = t.pos  # derived from hitmask on each read
         m = len(ds)
         for x in range(m):
             for y in range(m):
                 if x == y:
                     continue
                 sx, sy = ds[x], ds[y]
-                assert len(t.pos[x][y]) == len(t.hitmask[x][y]) == len(sx) + 1
+                assert len(pos[x][y]) == len(t.hitmask[x][y]) == len(sx) + 1
                 for i in range(1, len(sx) + 1):
                     expect = [k for k in range(1, len(sy) + 1) if sx.at(i) & sy.at(k)]
-                    assert t.pos[x][y][i] == expect
-                    for k in t.pos[x][y][i]:
-                        assert i in t.pos[y][x][k]
-                    assert t.hitmask[x][y][i] == sum(1 << k for k in t.pos[x][y][i])
+                    assert pos[x][y][i] == expect
+                    for k in pos[x][y][i]:
+                        assert i in pos[y][x][k]
+                    assert t.hitmask[x][y][i] == sum(1 << k for k in pos[x][y][i])
 
 
 def test_strings_at_matches_literal_scan():
@@ -74,6 +75,40 @@ def test_strings_at_matches_literal_scan():
                 assert not t.strings_at[x][i] >> x & 1
                 assert all((t.strings_at[x][i] >> y & 1) == bool(t.hitmask[x][y][i])
                            for y in range(m) if y != x)
+
+
+def test_tables_match_literal_scan_with_private_characters():
+    # p1..p3 are private to S (p1 and p2 repeated in S, p2 also beside the
+    # shared a, p3 beside the shared b); r is repeated within T only and u
+    # within U only, so no other string holds them
+    ds = make_dataset(
+        ("S", [["p1"], ["a", "p2"], ["p2"], ["b", "p3"], ["p2", "p1"]], [3]),
+        ("T", [["r"], ["b"], ["r", "q"], ["a", "b"], ["r"]]),
+        ("U", [["q"], ["u"], ["a", "u"]]))
+    t = build_pos_tables(ds)
+    private_only = {0: [1, 3, 5], 1: [1, 5], 2: [2]}
+    m = len(ds)
+    for x in range(m):
+        sx = ds[x]
+        for i in range(1, len(sx) + 1):
+            at = 0
+            for y in range(m):
+                if y == x:
+                    continue
+                sy = ds[y]
+                expect = sum(1 << k for k in range(1, len(sy) + 1) if sx.at(i) & sy.at(k))
+                assert t.hitmask[x][y][i] == expect
+                assert (t.nohit[x][y] >> i & 1) == (not sx.at(i) & sy.char_set())
+                if expect:
+                    at |= 1 << y
+            assert t.strings_at[x][i] == at
+            if i in private_only[x]:
+                assert all(t.hitmask[x][y][i] == 0 for y in range(m) if y != x)
+                assert t.strings_at[x][i] == 0
+    # the mixed positions hit only through their shared characters
+    assert t.hitmask[0][1][2] == 1 << 4 and t.hitmask[0][2][2] == 1 << 3
+    assert t.hitmask[0][1][4] == (1 << 2) | (1 << 4) and t.hitmask[0][2][4] == 0
+    assert t.hitmask[1][2][3] == 1 << 1 and t.strings_at[1][3] == 1 << 2
 
 
 def test_nohit_demo(demo_tables):
