@@ -18,12 +18,14 @@ from .oracle import AwciPair, AwciSet, is_closed_set
 
 
 class AwciGraph:
-    """Deduplicated interval vertices plus pair edges, string-partitioned."""
+    """Deduplicated interval vertices plus pair edges, string-partitioned:
+    `string_index[v]` is the dataset index of vertex v's string."""
 
     def __init__(self, dataset: Dataset, vertices: Sequence[AnchoredInterval],
                  edges: Iterable[tuple[int, int]]) -> None:
         self.dataset = dataset
         self.vertices = list(vertices)
+        self.string_index = [dataset.index_of(iv.string_id) for iv in self.vertices]
         self.adj: list[set[int]] = [set() for _ in self.vertices]
         for u, v in edges:
             self.adj[u].add(v)
@@ -36,7 +38,7 @@ class AwciGraph:
                 for iv in self.vertices]
 
     def string_of(self, v: int) -> int:
-        return self.dataset.index_of(self.vertices[v].string_id)
+        return self.string_index[v]
 
     def subgraph(self, keep: set[int]) -> "AwciGraph":
         kept = sorted(keep)
@@ -71,12 +73,13 @@ def build_graph(pairs: Iterable[AwciPair], dataset: Dataset,
         edges.append((uv[0], uv[1]))
 
     graph = AwciGraph(dataset, vertices, edges)
+    string_index = graph.string_index
     keep = set(range(len(graph)))
     changed = True
     while changed:
         changed = False
         for v in sorted(keep):
-            spans = {graph.string_of(u) for u in graph.adj[v] if u in keep}
+            spans = {string_index[u] for u in graph.adj[v] if u in keep}
             if len(spans) < params.quorum - 1:
                 keep.discard(v)
                 changed = True

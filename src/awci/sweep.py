@@ -6,21 +6,28 @@ The sweep works on the per-position hit masks of `tables.PairTables`: with
 the reference interval [i, j] as the window W of bits i..j, the hits of a
 trans position p are `hitmask[y][x][p] & W`, a candidate interval's state is
 the union of its positions' hits plus a count of positions that hit nothing,
-and the acceptance and endpoint tests are a few int operations each.
+and the acceptance and endpoint tests are a few int operations each. One
+walk per (left bound, reported string) covers every right bound of the
+unit: it runs over the widest window and reads off, per candidate, the right
+bounds it pairs with.
 
 Endpoint anchoring also prunes the work before it is spent: an interval of
-S_y pairs with [i, j]_x only if S_y hits both i and j, so a unit, a right
-bound or a trans string that too few strings hit at its endpoints is skipped
-without running the ridge bound, collecting anchors or walking intervals; so
-is a string with more than delta positions hitting nothing in it among the
-first min_size positions from i. The right bounds of a unit stop at the
+S_y pairs with [i, j]_x only if S_y hits both i and j, so a unit or a trans
+string that too few strings hit at its endpoints is skipped without running
+the ridge bound, collecting anchors or walking intervals; so is a string
+with more than delta positions hitting nothing in it among the first
+min_size positions from i. The right bounds of a unit stop at the
 (quorum - 1)-th largest per-string end of `ridge.filter_position`. Strings
 that count towards the quorum but are not reported are only tested for one
-interval. `enumerate_pairs` lists the steps and why each is exact.
+interval per right bound that needs them. Each distinct interval and its
+character set are built once per search. `enumerate_pairs` lists the steps
+and why each is exact.
 """
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from itertools import accumulate
+from operator import or_
 from typing import Iterator
 
 from .model import AnchoredInterval, AwciError, Dataset, SearchParams
@@ -94,46 +101,60 @@ def incremental_indel_count(tables: PairTables, x: int, i: int, j: int,
     return (j - i + 1 - union.bit_count()) + d
 
 
-def enumerate_trans_intervals(tables: PairTables, x: int, i: int, j: int,
-                              y: int, anchors: list[int],
+def enumerate_trans_intervals(tables: PairTables, x: int, i: int, jmin: int,
+                              jend: int, y: int, anchors: list[int],
                               params: SearchParams
-                              ) -> list[tuple[int, int, int, int]]:
-    """All intervals [k, l] of S_y forming a reportable pair with [i, j]_x.
+                              ) -> list[tuple[int, int, int, int, int]]:
+    """All intervals [k, l] of S_y forming a reportable pair with [i, j]_x, for
+    every right bound j in [jmin, jend], in one walk.
 
-    Walks the anchors left to right; around each anchor p, candidate left
-    bounds descend from p (never past the previous anchor) and right bounds
-    grow from p, both cut off once the candidate's own indels exceed the
-    budget. Endpoint anchoring and min_size are applied inline.
+    Walks the anchors left to right over the wide window W of bits i..jend;
+    around each anchor p, candidate left bounds descend from p (never past
+    the previous anchor) and right bounds grow from p, both cut off once the
+    candidate's own indels exceed the budget. Endpoint anchoring and
+    min_size are applied inline. A narrower window only tightens these
+    cut-offs, so every candidate of a walk over window(i, j) is visited,
+    once, under the first anchor at or after k that hits W.
 
     The hits of a position of S_y inside [i, j] are its hit mask ANDed with
-    the window W of bits i..j. A candidate's state is two ints: the union
-    `u` of its positions' hits and the count `d` of its positions that hit
-    nothing. Each result is (k, l, covered, d) with covered = |u|: `covered`
-    reference positions of [i, j] are hit from [k, l] and `d` positions of
-    [k, l] hit nothing in [i, j]. A position meets the pair's common set iff
-    it hits some position of the other interval, so these are the non-indel
-    count of the left side and the indel count of the right.
+    the window of bits i..j. A candidate's state is two ints: the union `u`
+    of its positions' hits in W and the count `d` of its positions that hit
+    nothing in W. Each result is (j, k, l, covered, d_j) with covered =
+    |u & window(i, j)|: `covered` reference positions of [i, j] are hit from
+    [k, l] and `d_j` positions of [k, l] hit nothing in [i, j]. A position
+    meets the pair's common set iff it hits some position of the other
+    interval, so these are the non-indel count of the left side and the
+    indel count of the right.
     """
-    return sorted(_trans_walk(tables, x, i, j, y, anchors, params))
+    return sorted(_trans_walk(tables, x, i, jmin, jend, y, anchors, params))
 
 
-def _trans_walk(tables: PairTables, x: int, i: int, j: int, y: int,
-                anchors: list[int], params: SearchParams
-                ) -> Iterator[tuple[int, int, int, int]]:
+def _trans_walk(tables: PairTables, x: int, i: int, jmin: int, jend: int,
+                y: int, anchors: list[int], params: SearchParams
+                ) -> Iterator[tuple[int, int, int, int, int]]:
     """The results of `enumerate_trans_intervals` in walk order, one at a
-    time, so that an existence test can stop at the first."""
+    time, so that an existence test (jmin = jend) can stop at the first.
+
+    A candidate [k, l] visited over W pairs with [i, j]_x iff j is a bit of
+    `u` (anchoring of j; i is tested once), k and l each hit some reference
+    position in [i, j], and the zeros of `u` in [i, j] plus d_j are at most
+    delta. d_j is the walk's `d` at jend; below it, d_j counts the positions
+    of [k, l] outside H_j, the positions of S_y hitting any of i..j, read off
+    the prefix ORs of `hitmask[x][y]` (built at the first need). Since
+    d_j >= d and the zeros of `u` only grow with j, the right bounds of a
+    candidate stop at the (delta - d + 1)-th zero of `u`.
+    """
     sy = tables.dataset[y]
     masks = tables.hitmask[y][x]
     delta = params.delta
     min_size = params.min_size
-    span = j - i + 1
-    w = window(i, j)
-    ends = (1 << i) | (1 << j)
+    w = window(i, jend)
+    reach: list[int] | None = None  # reach[j - i] = H_j
 
     p_prev = 0
     for p in anchors:
         if not masks[p] & w:
-            # anchor only reaches reference positions outside [i, j]; it cannot
+            # anchor only reaches reference positions past jend; it cannot
             # anchor an interval here and must not act as a range separator
             continue
         lo, hi = sy.contig_bounds(p)
@@ -153,6 +174,8 @@ def _trans_walk(tables: PairTables, x: int, i: int, j: int, y: int,
             if not k_hits:
                 # endpoint anchoring fails for every [k, l]
                 continue
+            # the lowest reference position k hits, so the least j it anchors
+            k_low = max(jmin, (k_hits & -k_hits).bit_length() - 1)
             u, d = base_u, base_d
             for l in range(p, hi + 1):
                 hits = masks[l] & w
@@ -163,12 +186,31 @@ def _trans_walk(tables: PairTables, x: int, i: int, j: int, y: int,
                         break
                     continue
                 u |= hits
-                if l - k + 1 < min_size:
+                if l - k + 1 < min_size or not u >> i & 1:
                     continue
-                covered = u.bit_count()
-                # acceptance, then anchoring of the reference endpoints i and j
-                if span - covered + d <= delta and (u & ends) == ends:
-                    yield k, l, covered, d
+                j_low = max(k_low, (hits & -hits).bit_length() - 1)
+                # the right bounds j >= j_low anchored by u, ascending, with
+                # `covered` the bits of u in [i, j]
+                covered = (u & ((1 << j_low) - 1)).bit_count()
+                rest = u >> j_low << j_low
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    j = low.bit_length() - 1
+                    covered += 1
+                    zeros = j - i + 1 - covered
+                    if zeros + d > delta:
+                        break
+                    if j == jend:
+                        d_j = d
+                    else:
+                        if reach is None:
+                            reach = list(accumulate(tables.hitmask[x][y][i:jend + 1],
+                                                    or_))
+                        d_j = l - k + 1 - (reach[j - i] >> k
+                                           & ((1 << (l - k + 1)) - 1)).bit_count()
+                    if zeros + d_j <= delta:
+                        yield j, k, l, covered, d_j
 
 
 def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
@@ -213,20 +255,29 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
         anyway; at quorum = m that is the first string ending before jt. A
         unit whose J is shorter than `min_size` stops before anchors are
         collected;
-      * a right bound j is skipped when fewer than quorum - 1 live strings
-        also hit j, or when no string after x has an interval for
-        [i, j], since only those are reported;
+      * work per (unit, string), not per right bound: each live string
+        after x is walked once, by `enumerate_trans_intervals` over the
+        right bounds from max(i, jt) to the end of J, and its results are
+        grouped by j. A right bound j at which no string after x has an
+        interval is skipped, since only those strings are reported;
       * the strings before x count towards the quorum but are never
-        reported, so each is only tested for an interval (the walk stops at
-        the first), and only until the quorum is reached.
+        reported, so at a right bound j that still lacks coverage, each
+        live one hitting j is only tested for an interval of [i, j] (the
+        walk over j alone, stopping at the first), and only until the
+        quorum is reached. Coverage can come only from live strings hitting
+        j, so a j with fewer than quorum - 1 of them fails these tests.
 
     `use_filter=False` skips the ridge bound, so J is the whole contig
     suffix of i; it is the reference path the bound is checked against.
 
     Each pair is built from the sweep's own counts; only its common set is
-    computed, from character-set unions cached per interval. With `verify`,
-    every pair is re-derived by `oracle.make_pair` and a disagreement raises
-    AssertionError.
+    computed. Each distinct interval of the reported pairs gets one
+    `AnchoredInterval` and one character-set union per search, shared by all
+    units and by both sides of every pair, so assembly's vertex lookups also
+    hit by identity. Under `threads > 1` two units may build the same key at
+    once; a key only ever gets equal values, so no output changes. With
+    `verify`, every pair is re-derived by `oracle.make_pair` and a
+    disagreement raises AssertionError.
     """
     m = len(dataset)
     quorum = params.quorum
@@ -240,6 +291,18 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
         # narrower neighbourhoods than the budget would drop pairs silently
         raise AwciError(f"ridge_t was built for delta={ridge_t[0][1].delta}, "
                         f"not delta={params.delta}")
+
+    # (string, i, j) -> the interval and its character-set union
+    intervals: dict[tuple[int, int, int],
+                    tuple[AnchoredInterval, frozenset[int]]] = {}
+
+    def interval(s: int, a: int, b: int) -> tuple[AnchoredInterval, frozenset[int]]:
+        got = intervals.get((s, a, b))
+        if got is None:
+            string = dataset[s]
+            got = intervals[s, a, b] = (AnchoredInterval(string.id, a, b),
+                                        string.char_set(a, b))
+        return got
 
     def run_unit(unit: tuple[int, int]) -> list[AwciPair]:
         x, i = unit
@@ -260,47 +323,41 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
             J = refine_bounds(tables, ridge_t, x, i, live, J, params)
         if not J or J[-1] - i + 1 < params.min_size:
             return []
-        anchors = {y: collect_anchors(tables, x, y, i, params.delta) for y in live}
+        # the anchors of the strings before x are collected at their first test
+        anchors = {y: collect_anchors(tables, x, y, i, params.delta)
+                   for y in live if y > x}
+        # results of the reported strings, in string order, grouped by j
+        found_at: dict[int, list[tuple[int, int, int, int, int]]] = {}
+        for y, anchors_y in anchors.items():
+            for j, k, l, covered, d in enumerate_trans_intervals(
+                    tables, x, i, max(i, jt), J[-1], y, anchors_y, params):
+                found_at.setdefault(j, []).append((y, k, l, covered, d))
         found: list[AwciPair] = []
-        right_sets: dict[tuple[int, int, int], frozenset[int]] = {}
-        for j in J:
-            if j - i + 1 < params.min_size:
-                continue
-            at_j = strings_at[j] & live_mask
-            if at_j.bit_count() < quorum - 1:
-                continue
-            live_j = set_bits(at_j)
-            ints = [(y, found_y) for y in live_j if y > x
-                    if (found_y := enumerate_trans_intervals(
-                        tables, x, i, j, y, anchors[y], params))]
-            if not ints:
-                continue
-            coverage = len(ints)
-            for y in live_j:
-                if y > x or coverage >= quorum - 1:
-                    break
-                if next(_trans_walk(tables, x, i, j, y, anchors[y], params),
-                        None) is not None:
-                    coverage += 1
+        for j in sorted(found_at):
+            entries = found_at[j]
+            coverage = len({y for y, *_ in entries})
             if coverage < quorum - 1:
-                continue
-            left = AnchoredInterval(sx.id, i, j)
-            left_set = sx.char_set(i, j)
-            for y, found_y in ints:
-                sy = dataset[y]
-                for (k, l, covered, d) in found_y:
-                    right_set = right_sets.get((y, k, l))
-                    if right_set is None:
-                        right_set = right_sets[y, k, l] = sy.char_set(k, l)
-                    pair = AwciPair(
-                        left=left, right=AnchoredInterval(sy.id, k, l),
-                        common=left_set & right_set,
-                        indel_total=j - i + 1 - covered + d,
-                        size_left=covered, size_right=l - k + 1 - d)
-                    if verify and make_pair(dataset, left, pair.right, params) != pair:
-                        raise AssertionError(f"sweep pair {pair.left} ~ {pair.right} "
-                                             "disagrees with oracle.make_pair")
-                    found.append(pair)
+                for y in set_bits(strings_at[j] & live_mask):
+                    if y > x or coverage >= quorum - 1:
+                        break
+                    if y not in anchors:
+                        anchors[y] = collect_anchors(tables, x, y, i, params.delta)
+                    if next(_trans_walk(tables, x, i, j, j, y, anchors[y], params),
+                            None) is not None:
+                        coverage += 1
+                if coverage < quorum - 1:
+                    continue
+            left, left_set = interval(x, i, j)
+            for y, k, l, covered, d in entries:
+                right, right_set = interval(y, k, l)
+                pair = AwciPair(
+                    left=left, right=right, common=left_set & right_set,
+                    indel_total=j - i + 1 - covered + d,
+                    size_left=covered, size_right=l - k + 1 - d)
+                if verify and make_pair(dataset, left, right, params) != pair:
+                    raise AssertionError(f"sweep pair {left} ~ {right} "
+                                         "disagrees with oracle.make_pair")
+                found.append(pair)
         return found
 
     # index 0 of strings_at is an unused 0, and quorum >= 2 skips it

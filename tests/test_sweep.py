@@ -1,4 +1,5 @@
 import io
+import sys
 from collections import defaultdict
 from itertools import combinations
 
@@ -10,6 +11,7 @@ from awci.model import AnchoredInterval, AwciError, Dataset, IndeterminateString
 from awci.oracle import brute_force_pairs, judge_pair, make_pair
 from awci.ridge import build_all_ridge_t, filter_position
 from awci.sweep import (
+    _trans_walk,
     candidate_right_bounds,
     collect_anchors,
     enumerate_pairs,
@@ -82,11 +84,18 @@ def test_incremental_count_matches_oracle():
 def test_trans_intervals_demo(demo):
     t = build_pos_tables(demo)
     params = SearchParams(delta=1, quorum=3, min_size=6)
-    # (k, l, covered, d): S1 position 3 misses S3:1-8; S2 position 6 misses S1:1-8
-    vs_s3 = enumerate_trans_intervals(t, 0, 1, 8, 2, collect_anchors(t, 0, 2, 1, 1), params)
-    assert (1, 8, 7, 0) in vs_s3
-    vs_s2 = enumerate_trans_intervals(t, 0, 1, 8, 1, collect_anchors(t, 0, 1, 1, 1), params)
-    assert (2, 7, 8, 1) in vs_s2
+    # (j, k, l, covered, d) for j in 6..12: S1 position 3 misses S3:1-8;
+    # S2 position 6 misses S1:1-8 but hits S1:9, so S2:2-7 has one indel
+    # against S1:1-8 and none against S1:1-9
+    vs_s3 = enumerate_trans_intervals(t, 0, 1, 6, 12, 2, collect_anchors(t, 0, 2, 1, 1),
+                                      params)
+    assert (8, 1, 8, 7, 0) in vs_s3
+    vs_s2 = enumerate_trans_intervals(t, 0, 1, 6, 12, 1, collect_anchors(t, 0, 1, 1, 1),
+                                      params)
+    assert {(8, 2, 7, 8, 1), (9, 2, 7, 9, 0)} <= set(vs_s2)
+    # a range call is the per-j calls laid end to end
+    assert vs_s2 == [r for j in range(6, 13) for r in enumerate_trans_intervals(
+        t, 0, 1, j, j, 1, collect_anchors(t, 0, 1, 1, 1), params)]
 
 
 def test_trans_intervals_disjoint_alphabets():
@@ -94,7 +103,7 @@ def test_trans_intervals_disjoint_alphabets():
     t = build_pos_tables(ds)
     params = SearchParams(delta=2, quorum=2)
     assert collect_anchors(t, 0, 1, 1, 2) == []
-    assert enumerate_trans_intervals(t, 0, 1, 2, 1, [], params) == []
+    assert enumerate_trans_intervals(t, 0, 1, 1, 2, 1, [], params) == []
 
 
 def test_trans_intervals_past_word_boundary():
@@ -107,31 +116,90 @@ def test_trans_intervals_past_word_boundary():
     ds = Dataset([IndeterminateString(s.id, s.positions, b)
                   for s, b in zip(planted, breaks)], planted.alphabet)
     t = build_pos_tables(ds)
-    seen = {"pairs": 0, "d > 0": 0, "covered < span": 0}
+    seen = {"pairs": 0, "d > 0": 0, "covered < span": 0, "right bounds": 0}
     for delta in (0, 1, 2):
         params = SearchParams(delta=delta, quorum=2, min_size=1)
         rt = build_all_ridge_t(t, delta)
         for x, i, y in ((0, 77, 1), (0, 125, 2), (2, 120, 0), (1, 120, 2)):
             J = refine_bounds(t, rt, x, i, set_bits(t.strings_at[x][i]),
                               candidate_right_bounds(t, rt, x, i, params), params)
-            for j in (J[len(J) // 2], J[-1]):
-                got = enumerate_trans_intervals(t, x, i, j, y,
-                                                collect_anchors(t, x, y, i, delta), params)
-                a, sy = AnchoredInterval(ds[x].id, i, j), ds[y]
-                expected = []
+            # one call over the unit's J holds the pairs of every j in J
+            got = enumerate_trans_intervals(t, x, i, J[0], J[-1], y,
+                                            collect_anchors(t, x, y, i, delta), params)
+            sy = ds[y]
+            expected = []
+            for j in J:
+                a = AnchoredInterval(ds[x].id, i, j)
+                # make_pair needs both ends of [k, l] to meet the common set,
+                # which lies in the character set of [i, j]
+                chars = ds[x].char_set(i, j)
                 for (k, l) in sy.intervals():
+                    if sy.at(k).isdisjoint(chars) or sy.at(l).isdisjoint(chars):
+                        continue
                     pair = make_pair(ds, a, AnchoredInterval(sy.id, k, l), params)
                     if pair is None:
                         continue
                     size_x, size_y = (pair.size_left, pair.size_right) if x < y \
                         else (pair.size_right, pair.size_left)
-                    expected.append((k, l, size_x, l - k + 1 - size_y))
-                    assert pair.indel_total == (j - i + 1 - size_x) + (l - k + 1 - size_y)
-                assert got == expected, (delta, x, i, j, y)
-                seen["pairs"] += len(got)
-                seen["d > 0"] += sum(1 for *_, d in got if d)
-                seen["covered < span"] += sum(1 for _, _, c, _ in got if c < j - i + 1)
+                    expected.append((j, k, l, size_x, l - k + 1 - size_y))
+            assert got == expected, (delta, x, i, y)
+            seen["pairs"] += len(got)
+            seen["d > 0"] += sum(1 for *_, d in got if d)
+            seen["covered < span"] += sum(1 for j, _, _, c, _ in got if c < j - i + 1)
+            seen["right bounds"] += len({j for j, *_ in got}) > 1
     assert min(seen.values()) > 0, seen
+
+
+def oracle_trans_intervals(ds, params):
+    """(x, i, y) -> sorted (j, k, l, covered, d) of every reportable pair of
+    an interval [i, j] of S_x with an interval [k, l] of S_y, from
+    `brute_force_pairs`; covered and d are the non-indel count of [i, j] and
+    the indel count of [k, l]."""
+    out = defaultdict(list)
+    for p in brute_force_pairs(ds, params):
+        for a, b, size_a, size_b in ((p.left, p.right, p.size_left, p.size_right),
+                                     (p.right, p.left, p.size_right, p.size_left)):
+            out[ds.index_of(a.string_id), a.i, ds.index_of(b.string_id)].append(
+                (a.j, b.i, b.j, size_a, b.length - size_b))
+    return {key: sorted(v) for key, v in out.items()}
+
+
+def test_trans_intervals_range_matches_oracle_per_j():
+    # small min_size lets an anchor hit only reference positions past a small
+    # j, and the walk's own indel count holds only at jend: below it, the
+    # positions of [k, l] hitting nothing in [i, j] are counted afresh
+    cases = {"results": 0, "j < jend": 0, "existence checked": 0}
+    for seed in range(30):
+        ds = random_instance(seed, break_prob=0.4)
+        t = build_pos_tables(ds)
+        for delta in (0, 1, 2):
+            for min_size in (0, 1, 2):
+                params = SearchParams(delta=delta, quorum=2, min_size=min_size)
+                expected = oracle_trans_intervals(ds, params)
+                for x, sx in enumerate(ds):
+                    for i in range(1, len(sx) + 1):
+                        jmin = max(i, i + min_size - 1)
+                        jend = sx.contig_bounds(i)[1]
+                        if jmin > jend:
+                            continue
+                        for y in range(len(ds)):
+                            if y == x:
+                                continue
+                            anchors = collect_anchors(t, x, y, i, delta)
+                            got = enumerate_trans_intervals(t, x, i, jmin, jend, y,
+                                                            anchors, params)
+                            want = expected.get((x, i, y), [])
+                            assert got == want, (seed, params, x, i, y)
+                            cases["results"] += len(got)
+                            cases["j < jend"] += sum(1 for r in got if r[0] < jend)
+                            at = {r[0] for r in want}
+                            for j in range(jmin, jend + 1):
+                                first = next(_trans_walk(t, x, i, j, j, y, anchors,
+                                                         params), None)
+                                assert (first is not None) == (j in at), \
+                                    (seed, params, x, i, j, y)
+                                cases["existence checked"] += 1
+    assert min(cases.values()) > 100, cases
 
 
 def test_refine_takes_quorum_th_largest_reach():
@@ -337,6 +405,39 @@ def test_enumerate_pairs_thread_count_invariant():
             one = serialize(enumerate_pairs(ds, params, threads=1))
             four = serialize(enumerate_pairs(ds, params, threads=4))
             assert one == four
+
+
+def test_enumerate_pairs_interns_intervals(demo):
+    # equal intervals are one object, on the left and on the right side
+    cases = [(demo, SearchParams(delta=1, quorum=2, min_size=1))]
+    cases += [(random_instance(seed), SearchParams(delta=1, quorum=2, min_size=1))
+              for seed in range(10)]
+    both_sides = 0
+    for ds, params in cases:
+        pairs = list(enumerate_pairs(ds, params, threads=1))
+        first: dict[AnchoredInterval, AnchoredInterval] = {}
+        for p in pairs:
+            for iv in (p.left, p.right):
+                assert first.setdefault(iv, iv) is iv
+        both_sides += len({p.left for p in pairs} & {p.right for p in pairs})
+    assert both_sides > 10
+
+
+def test_enumerate_pairs_interval_cache_under_thread_switches():
+    # all units share one interval cache; with more threads than cores and a
+    # thread switch every few bytecodes, units build the same keys at once
+    ds, _ = generate_planted(PlantedSpec(
+        m=4, n=60, block_count=2, block_length=15, background_sharing=0.6,
+        alphabet_size=20, seed=3))
+    params = SearchParams(delta=2, quorum=2, min_size=8)
+    one = serialize(enumerate_pairs(ds, params, threads=1))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        four = serialize(enumerate_pairs(ds, params, threads=4))
+    finally:
+        sys.setswitchinterval(interval)
+    assert one == four != ""
 
 
 def test_enumerate_pairs_verify_path_same_output(demo):
