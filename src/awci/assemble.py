@@ -10,8 +10,7 @@ Reported sets are the cores not contained in another reported core.
 """
 from __future__ import annotations
 
-from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .model import AnchoredInterval, Dataset, ResourceLimitError, SearchParams
 from .oracle import AwciPair, AwciSet, is_closed_set
@@ -31,15 +30,6 @@ class AwciGraph:
             self.adj[u].add(v)
             self.adj[v].add(u)
 
-    @cached_property
-    def char_sets(self) -> list[frozenset[int]]:
-        """Character-set union of each vertex's interval."""
-        return [self.dataset.string_of(iv).char_set(iv.i, iv.j)
-                for iv in self.vertices]
-
-    def string_of(self, v: int) -> int:
-        return self.string_index[v]
-
     def subgraph(self, keep: set[int]) -> "AwciGraph":
         kept = sorted(keep)
         remap = {v: k for k, v in enumerate(kept)}
@@ -53,10 +43,9 @@ class AwciGraph:
 
 def build_graph(pairs: Iterable[AwciPair], dataset: Dataset,
                 params: SearchParams) -> AwciGraph:
-    """Build the pair graph, iteratively dropping quorum-infeasible vertices.
-
-    A vertex whose neighbors span fewer than quorum-1 other strings cannot be
-    in any reported set; removal repeats until a fixpoint.
+    """Build the pair graph, dropping to a fixpoint every vertex whose
+    remaining neighbours span fewer than quorum-1 other strings: no reported
+    set can hold it, and dropping a vertex only shrinks the others' spans.
     """
     vertex_ids: dict[AnchoredInterval, int] = {}
     vertices: list[AnchoredInterval] = []
@@ -74,18 +63,29 @@ def build_graph(pairs: Iterable[AwciPair], dataset: Dataset,
 
     graph = AwciGraph(dataset, vertices, edges)
     string_index = graph.string_index
-    keep = set(range(len(graph)))
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(keep):
-            spans = {string_index[u] for u in graph.adj[v] if u in keep}
-            if len(spans) < params.quorum - 1:
-                keep.discard(v)
-                changed = True
-    if len(keep) != len(graph):
-        graph = graph.subgraph(keep)
-    return graph
+
+    def infeasible(v: int, alive: int) -> bool:
+        spans = {string_index[u] for u in graph.adj[v] if alive >> u & 1}
+        return len(spans) < params.quorum - 1
+
+    return _drop_to_fixpoint(graph, infeasible)
+
+
+def _drop_to_fixpoint(graph: AwciGraph, drop: Callable[[int, int], bool]) -> AwciGraph:
+    """Drop each vertex v with drop(v, alive), alive the bitmask of the vertices
+    not dropped yet, until no vertex left qualifies. Each rule passed here
+    only gets truer as vertices go, so the fixpoint does not depend on the
+    order of the worklist."""
+    alive = full = (1 << len(graph)) - 1
+    work = list(range(len(graph)))
+    while work:
+        v = work.pop()
+        if alive >> v & 1 and drop(v, alive):
+            alive ^= 1 << v
+            work.extend(graph.adj[v])
+    if alive == full:
+        return graph
+    return graph.subgraph({v for v in range(len(graph)) if alive >> v & 1})
 
 
 def prune_dominated_vertices(graph: AwciGraph) -> AwciGraph:
@@ -95,22 +95,16 @@ def prune_dominated_vertices(graph: AwciGraph) -> AwciGraph:
     remaining neighbours. Every other member of a clique holding v is such a
     neighbour, so v is extendable in that clique and the clique is not
     closed; dropping v changes no output. Dropping a vertex only shrinks its
-    neighbours' neighbourhoods, so a droppable vertex stays droppable and the
-    fixpoint does not depend on the order of the worklist.
+    neighbours' neighbourhoods, so a droppable vertex stays droppable.
     """
     masks = extension_masks(graph)
     neighbours = [sum(1 << u for u in adj) for adj in graph.adj]
-    alive = full = (1 << len(graph)) - 1
-    work = list(range(len(graph)))
-    while work:
-        v = work.pop()
+
+    def dominated(v: int, alive: int) -> bool:
         live = neighbours[v] & alive
-        if alive >> v & 1 and any(live & mask == live for mask in masks[v]):
-            alive ^= 1 << v
-            work.extend(graph.adj[v])
-    if alive == full:
-        return graph
-    return graph.subgraph({v for v in range(len(graph)) if alive >> v & 1})
+        return any(live & mask == live for mask in masks[v])
+
+    return _drop_to_fixpoint(graph, dominated)
 
 
 def _maximal_cliques(graph: AwciGraph, guard: int) -> list[tuple[int, ...]]:
@@ -146,7 +140,8 @@ def extension_masks(graph: AwciGraph) -> list[tuple[int, ...]]:
     set for every neighbour u whose character set meets S[p]. Positions off
     the string or across a contig break get no mask.
     """
-    char_sets = graph.char_sets
+    char_sets = [graph.dataset.string_of(iv).char_set(iv.i, iv.j)
+                 for iv in graph.vertices]
     out: list[tuple[int, ...]] = []
     for v, iv in enumerate(graph.vertices):
         s = graph.dataset.string_of(iv)

@@ -128,10 +128,7 @@ class IndeterminateString:
                              f"got [{i}, {j}]")
         if i > j or i < 1 or j > len(self.positions):
             raise RangeError(f"string {self.id!r}: invalid interval [{i}, {j}]")
-        out: set[int] = set()
-        for p in self.positions[i - 1:j]:
-            out |= p
-        return frozenset(out)
+        return frozenset().union(*self.positions[i - 1:j])
 
     def contig_bounds(self, p: int) -> tuple[int, int]:
         """(first, last) position of the contig containing position p."""

@@ -9,19 +9,22 @@ the union of its positions' hits plus a count of positions that hit nothing,
 and the acceptance and endpoint tests are a few int operations each. One
 walk per (left bound, reported string) covers every right bound of the
 unit: it runs over the widest window and reads off, per candidate, the right
-bounds it pairs with.
+bounds it pairs with. The walk starts only at its anchors, the positions of
+S_y hitting i: by endpoint anchoring every interval pairing with [i, j]
+holds one (as in the `ridge` module's bound), so each candidate is visited
+once, under the first anchor at or after k, and i is anchored by
+construction.
 
 Endpoint anchoring also prunes the work before it is spent: an interval of
 S_y pairs with [i, j]_x only if S_y hits both i and j, so a unit or a trans
 string that too few strings hit at its endpoints is skipped without running
-the ridge bound, collecting anchors or walking intervals; so is a string
-with more than delta positions hitting nothing in it among the first
-min_size positions from i. The right bounds of a unit stop at the
-(quorum - 1)-th largest per-string end of `ridge.filter_position`. Strings
-that count towards the quorum but are not reported are only tested for one
-interval per right bound that needs them. Each distinct interval and its
-character set are built once per search. `enumerate_pairs` lists the steps
-and why each is exact.
+the ridge bound or walking intervals; so is a string with more than delta
+positions hitting nothing in it among the first min_size positions from i.
+The right bounds of a unit stop at the (quorum - 1)-th largest per-string
+end of `ridge.filter_position`. Strings that count towards the quorum but
+are not reported are only tested for one interval per right bound that
+needs them. Each distinct interval and its character set are built once per
+search. `enumerate_pairs` lists the steps and why each is exact.
 """
 from __future__ import annotations
 
@@ -69,15 +72,9 @@ def refine_bounds(tables: PairTables, ridge_t, x: int, i: int, live: list[int],
     return J[:ends[params.quorum - 2] - i + 1]
 
 
-def collect_anchors(tables: PairTables, x: int, y: int, i: int, delta: int) -> list[int]:
-    """Positions of S_y hitting any of reference positions i..i+delta of S_x
-    (contig-clamped), ascending."""
-    masks = tables.hitmask[x][y]
-    hi = min(i + delta, tables.dataset[x].contig_bounds(i)[1])
-    union = 0
-    for p in range(i, hi + 1):
-        union |= masks[p]
-    return set_bits(union)
+def collect_anchors(tables: PairTables, x: int, y: int, i: int) -> list[int]:
+    """Positions of S_y hitting reference position i of S_x, ascending."""
+    return set_bits(tables.hitmask[x][y][i])
 
 
 def incremental_indel_count(tables: PairTables, x: int, i: int, j: int,
@@ -102,19 +99,20 @@ def incremental_indel_count(tables: PairTables, x: int, i: int, j: int,
 
 
 def enumerate_trans_intervals(tables: PairTables, x: int, i: int, jmin: int,
-                              jend: int, y: int, anchors: list[int],
-                              params: SearchParams
+                              jend: int, y: int, params: SearchParams
                               ) -> list[tuple[int, int, int, int, int]]:
     """All intervals [k, l] of S_y forming a reportable pair with [i, j]_x, for
     every right bound j in [jmin, jend], in one walk.
 
-    Walks the anchors left to right over the wide window W of bits i..jend;
-    around each anchor p, candidate left bounds descend from p (never past
-    the previous anchor) and right bounds grow from p, both cut off once the
-    candidate's own indels exceed the budget. Endpoint anchoring and
-    min_size are applied inline. A narrower window only tightens these
+    Walks the anchors, the positions of S_y hitting i, left to right over
+    the wide window W of bits i..jend; around each anchor p, candidate left
+    bounds descend from p (never past the previous anchor) and right bounds
+    grow from p, both cut off once the candidate's own indels exceed the
+    budget. Endpoint anchoring and min_size are applied inline. By endpoint
+    anchoring every interval pairing with [i, j] holds a position hitting i,
+    as in the `ridge` module's bound, and a narrower window only tightens the
     cut-offs, so every candidate of a walk over window(i, j) is visited,
-    once, under the first anchor at or after k that hits W.
+    once, under the first anchor at or after k.
 
     The hits of a position of S_y inside [i, j] are its hit mask ANDed with
     the window of bits i..j. A candidate's state is two ints: the union `u`
@@ -126,17 +124,18 @@ def enumerate_trans_intervals(tables: PairTables, x: int, i: int, jmin: int,
     interval, so these are the non-indel count of the left side and the
     indel count of the right.
     """
-    return sorted(_trans_walk(tables, x, i, jmin, jend, y, anchors, params))
+    return sorted(_trans_walk(tables, x, i, jmin, jend, y, params))
 
 
 def _trans_walk(tables: PairTables, x: int, i: int, jmin: int, jend: int,
-                y: int, anchors: list[int], params: SearchParams
+                y: int, params: SearchParams
                 ) -> Iterator[tuple[int, int, int, int, int]]:
     """The results of `enumerate_trans_intervals` in walk order, one at a
     time, so that an existence test (jmin = jend) can stop at the first.
 
     A candidate [k, l] visited over W pairs with [i, j]_x iff j is a bit of
-    `u` (anchoring of j; i is tested once), k and l each hit some reference
+    `u` (anchoring of j; i is anchored by construction, as the candidate
+    holds an anchor and every anchor hits i), k and l each hit some reference
     position in [i, j], and the zeros of `u` in [i, j] plus d_j are at most
     delta. d_j is the walk's `d` at jend; below it, d_j counts the positions
     of [k, l] outside H_j, the positions of S_y hitting any of i..j, read off
@@ -152,11 +151,7 @@ def _trans_walk(tables: PairTables, x: int, i: int, jmin: int, jend: int,
     reach: list[int] | None = None  # reach[j - i] = H_j
 
     p_prev = 0
-    for p in anchors:
-        if not masks[p] & w:
-            # anchor only reaches reference positions past jend; it cannot
-            # anchor an interval here and must not act as a range separator
-            continue
+    for p in collect_anchors(tables, x, y, i):
         lo, hi = sy.contig_bounds(p)
         k_min = max(p_prev + 1, lo)
         p_prev = p
@@ -186,7 +181,7 @@ def _trans_walk(tables: PairTables, x: int, i: int, jmin: int, jend: int,
                         break
                     continue
                 u |= hits
-                if l - k + 1 < min_size or not u >> i & 1:
+                if l - k + 1 < min_size:
                     continue
                 j_low = max(k_low, (hits & -hits).bit_length() - 1)
                 # the right bounds j >= j_low anchored by u, ascending, with
@@ -253,13 +248,16 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
         len(live) - (quorum - 1) strings end before jt: fewer than quorum - 1
         ends then reach jt, so the cap would leave J shorter than `min_size`
         anyway; at quorum = m that is the first string ending before jt. A
-        unit whose J is shorter than `min_size` stops before anchors are
-        collected;
+        unit whose J is shorter than `min_size` stops before any walk;
       * work per (unit, string), not per right bound: each live string
         after x is walked once, by `enumerate_trans_intervals` over the
         right bounds from max(i, jt) to the end of J, and its results are
-        grouped by j. A right bound j at which no string after x has an
-        interval is skipped, since only those strings are reported;
+        grouped by j. The walk starts only at the positions of S_y hitting
+        i, as `ridge.filter_position` does: every interval pairing with
+        [i, j] holds one, each candidate is visited under the first of them
+        at or after k, and i is anchored by construction. A right bound j at
+        which no string after x has an interval is skipped, since only those
+        strings are reported;
       * the strings before x count towards the quorum but are never
         reported, so at a right bound j that still lacks coverage, each
         live one hitting j is only tested for an interval of [i, j] (the
@@ -323,14 +321,11 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
             J = refine_bounds(tables, ridge_t, x, i, live, J, params)
         if not J or J[-1] - i + 1 < params.min_size:
             return []
-        # the anchors of the strings before x are collected at their first test
-        anchors = {y: collect_anchors(tables, x, y, i, params.delta)
-                   for y in live if y > x}
         # results of the reported strings, in string order, grouped by j
         found_at: dict[int, list[tuple[int, int, int, int, int]]] = {}
-        for y, anchors_y in anchors.items():
+        for y in (y for y in live if y > x):
             for j, k, l, covered, d in enumerate_trans_intervals(
-                    tables, x, i, max(i, jt), J[-1], y, anchors_y, params):
+                    tables, x, i, max(i, jt), J[-1], y, params):
                 found_at.setdefault(j, []).append((y, k, l, covered, d))
         found: list[AwciPair] = []
         for j in sorted(found_at):
@@ -340,10 +335,7 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
                 for y in set_bits(strings_at[j] & live_mask):
                     if y > x or coverage >= quorum - 1:
                         break
-                    if y not in anchors:
-                        anchors[y] = collect_anchors(tables, x, y, i, params.delta)
-                    if next(_trans_walk(tables, x, i, j, j, y, anchors[y], params),
-                            None) is not None:
+                    if next(_trans_walk(tables, x, i, j, j, y, params), None) is not None:
                         coverage += 1
                 if coverage < quorum - 1:
                     continue

@@ -40,7 +40,23 @@ def test_build_graph_drops_quorum_infeasible(demo):
     params = SearchParams(delta=1, quorum=3, min_size=6)
     g = demo_graph(demo, params)
     for v in range(len(g)):
-        assert len({g.string_of(u) for u in g.adj[v]}) >= 2
+        assert len({g.string_index[u] for u in g.adj[v]}) >= 2
+
+
+def test_build_graph_drops_to_fixpoint():
+    # quorum 3: d = V:1 pairs with one string only; c = U:1 spans S and V
+    # until d goes, and a = S:1 spans T and U until c goes. Neither an
+    # ascending nor a descending single pass over the vertex order (c, d, a,
+    # ...) drops a; the triangle S:2, T:2, U:2 stays
+    ds = make_dataset(*[(sid, [["a"], ["b"]]) for sid in "STUV"])
+    a, c, d = (AnchoredInterval(sid, 1, 1) for sid in "SUV")
+    s2, t2, u2 = (AnchoredInterval(sid, 2, 2) for sid in "STU")
+    pairs = [AwciPair(left=l, right=r, common=frozenset(), indel_total=0,
+                      size_left=1, size_right=1)
+             for l, r in ((c, d), (a, c), (a, t2), (s2, t2), (s2, u2), (t2, u2))]
+    g = build_graph(pairs, ds, SearchParams(delta=0, quorum=3))
+    assert set(g.vertices) == {s2, t2, u2}
+    assert all(len(g.adj[v]) == 2 for v in range(len(g)))
 
 
 def test_build_graph_empty_stream(demo):

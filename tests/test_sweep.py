@@ -27,22 +27,34 @@ from conftest import make_dataset
 def test_collect_anchors_demo(demo):
     t = build_pos_tables(demo)
     # g occurs only at S3 position 2
-    assert collect_anchors(t, 0, 2, 1, 0) == [2]
-    # union with the hits of S1:2 (b or p): {g,b} at 2, {p,s} at 4, {a,b} at 6
-    assert collect_anchors(t, 0, 2, 1, 1) == [2, 4, 6]
+    assert collect_anchors(t, 0, 2, 1) == [2]
+    # S1:2 = {b, p}: {g,b} at 2, {p,s} at 4, {a,b} at 6
+    assert collect_anchors(t, 0, 2, 2) == [2, 4, 6]
 
 
 def test_collect_anchors_trivial_indel(demo):
     t = build_pos_tables(demo)
     # S1 position 3 = {x} shares nothing with S3
-    assert collect_anchors(t, 0, 2, 3, 0) == []
+    assert collect_anchors(t, 0, 2, 3) == []
 
 
-def test_collect_anchors_clamped_at_break():
-    ds = make_dataset(("S", [["a"], ["b"], ["c"]], [1]), ("T", [["a"], ["b"], ["c"]]))
-    t = build_pos_tables(ds)
-    # i=1 sits in a one-position contig; position 2 is not unioned in
-    assert collect_anchors(t, 0, 1, 1, 2) == [1]
+def test_every_pair_holds_an_anchor():
+    # endpoint anchoring: the right interval of every pair holds a position
+    # hitting the left bound i, so walks started only at those positions
+    # miss no pair
+    pairs = 0
+    for seed in range(30):
+        ds = random_instance(seed, break_prob=0.4)
+        t = build_pos_tables(ds)
+        for delta in (0, 1, 2):
+            for p in brute_force_pairs(ds, SearchParams(delta=delta, quorum=2,
+                                                        min_size=1)):
+                for a, b in ((p.left, p.right), (p.right, p.left)):
+                    x, y = ds.index_of(a.string_id), ds.index_of(b.string_id)
+                    anchors = collect_anchors(t, x, y, a.i)
+                    assert any(b.i <= q <= b.j for q in anchors), (seed, delta, a, b)
+                pairs += 1
+    assert pairs > 1000
 
 
 def test_right_bounds_pass_through_clamped():
@@ -87,23 +99,21 @@ def test_trans_intervals_demo(demo):
     # (j, k, l, covered, d) for j in 6..12: S1 position 3 misses S3:1-8;
     # S2 position 6 misses S1:1-8 but hits S1:9, so S2:2-7 has one indel
     # against S1:1-8 and none against S1:1-9
-    vs_s3 = enumerate_trans_intervals(t, 0, 1, 6, 12, 2, collect_anchors(t, 0, 2, 1, 1),
-                                      params)
+    vs_s3 = enumerate_trans_intervals(t, 0, 1, 6, 12, 2, params)
     assert (8, 1, 8, 7, 0) in vs_s3
-    vs_s2 = enumerate_trans_intervals(t, 0, 1, 6, 12, 1, collect_anchors(t, 0, 1, 1, 1),
-                                      params)
+    vs_s2 = enumerate_trans_intervals(t, 0, 1, 6, 12, 1, params)
     assert {(8, 2, 7, 8, 1), (9, 2, 7, 9, 0)} <= set(vs_s2)
     # a range call is the per-j calls laid end to end
-    assert vs_s2 == [r for j in range(6, 13) for r in enumerate_trans_intervals(
-        t, 0, 1, j, j, 1, collect_anchors(t, 0, 1, 1, 1), params)]
+    assert vs_s2 == [r for j in range(6, 13)
+                     for r in enumerate_trans_intervals(t, 0, 1, j, j, 1, params)]
 
 
 def test_trans_intervals_disjoint_alphabets():
     ds = make_dataset(("S", [["a"], ["b"]]), ("T", [["x"], ["y"]]))
     t = build_pos_tables(ds)
     params = SearchParams(delta=2, quorum=2)
-    assert collect_anchors(t, 0, 1, 1, 2) == []
-    assert enumerate_trans_intervals(t, 0, 1, 1, 2, 1, [], params) == []
+    assert collect_anchors(t, 0, 1, 1) == []
+    assert enumerate_trans_intervals(t, 0, 1, 1, 2, 1, params) == []
 
 
 def test_trans_intervals_past_word_boundary():
@@ -124,8 +134,7 @@ def test_trans_intervals_past_word_boundary():
             J = refine_bounds(t, rt, x, i, set_bits(t.strings_at[x][i]),
                               candidate_right_bounds(t, rt, x, i, params), params)
             # one call over the unit's J holds the pairs of every j in J
-            got = enumerate_trans_intervals(t, x, i, J[0], J[-1], y,
-                                            collect_anchors(t, x, y, i, delta), params)
+            got = enumerate_trans_intervals(t, x, i, J[0], J[-1], y, params)
             sy = ds[y]
             expected = []
             for j in J:
@@ -165,9 +174,9 @@ def oracle_trans_intervals(ds, params):
 
 
 def test_trans_intervals_range_matches_oracle_per_j():
-    # small min_size lets an anchor hit only reference positions past a small
-    # j, and the walk's own indel count holds only at jend: below it, the
-    # positions of [k, l] hitting nothing in [i, j] are counted afresh
+    # small min_size gives many right bounds below jend, where the walk's own
+    # indel count does not hold: there the positions of [k, l] hitting
+    # nothing in [i, j] are counted afresh
     cases = {"results": 0, "j < jend": 0, "existence checked": 0}
     for seed in range(30):
         ds = random_instance(seed, break_prob=0.4)
@@ -185,17 +194,16 @@ def test_trans_intervals_range_matches_oracle_per_j():
                         for y in range(len(ds)):
                             if y == x:
                                 continue
-                            anchors = collect_anchors(t, x, y, i, delta)
                             got = enumerate_trans_intervals(t, x, i, jmin, jend, y,
-                                                            anchors, params)
+                                                            params)
                             want = expected.get((x, i, y), [])
                             assert got == want, (seed, params, x, i, y)
                             cases["results"] += len(got)
                             cases["j < jend"] += sum(1 for r in got if r[0] < jend)
                             at = {r[0] for r in want}
                             for j in range(jmin, jend + 1):
-                                first = next(_trans_walk(t, x, i, j, j, y, anchors,
-                                                         params), None)
+                                first = next(_trans_walk(t, x, i, j, j, y, params),
+                                             None)
                                 assert (first is not None) == (j in at), \
                                     (seed, params, x, i, j, y)
                                 cases["existence checked"] += 1
