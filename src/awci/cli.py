@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import os
 import sys
 from contextlib import contextmanager
 
@@ -42,18 +41,16 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def thread_count(text: str) -> int:
-    """--threads: a worker count from 1 to the machine's CPU count."""
+def seed_count(text: str) -> int:
+    """--seeds: how many seeds to check, at least 1."""
     n = int(text)
-    cap = os.cpu_count() or 1
-    if not 1 <= n <= cap:
-        raise argparse.ArgumentTypeError(f"must be from 1 to {cap} (the CPU count), "
-                                         f"got {n}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
     return n
 
 
 def delta_list(text: str) -> list[int]:
-    """--delta-list: comma-separated deltas, at least one."""
+    """--delta-list: comma-separated deltas, at least one, none negative."""
     try:
         deltas = [int(v) for v in text.split(",") if v]
     except ValueError:
@@ -61,6 +58,8 @@ def delta_list(text: str) -> list[int]:
             f"expects comma-separated integers, got {text!r}") from None
     if not deltas:
         raise argparse.ArgumentTypeError(f"names no delta: {text!r}")
+    if min(deltas) < 0:
+        raise argparse.ArgumentTypeError(f"holds a negative delta: {text!r}")
     return deltas
 
 
@@ -72,7 +71,6 @@ def build_parser() -> Parser:
         p.add_argument("--delta", type=int, default=0)
         p.add_argument("--quorum", type=int, default=2)
         p.add_argument("--min-size", type=int, default=0)
-        p.add_argument("--threads", type=thread_count, default=1)
 
     p = sub.add_parser("ingest", help="homology table to IST")
     p.add_argument("--homology", required=True)
@@ -103,7 +101,7 @@ def build_parser() -> Parser:
     p.add_argument("--out", required=True, metavar="PREFIX")
 
     p = sub.add_parser("verify", help="pair and closed-set differentials against the oracle")
-    p.add_argument("--seeds", type=int, default=100)
+    p.add_argument("--seeds", type=seed_count, default=100)
     p.add_argument("--delta-list", type=delta_list, default="0,1,2")
     p.add_argument("--min-size", type=int, default=1)
     return parser
@@ -162,7 +160,7 @@ def cmd_pairs(args) -> int:
     if args.quorum > len(dataset):
         raise UsageError(f"quorum {args.quorum} exceeds the {len(dataset)} "
                          "strings in the dataset")
-    pairs = enumerate_pairs(dataset, _params(args), threads=args.threads)
+    pairs = enumerate_pairs(dataset, _params(args))
     with open_out(args.out) as fh:
         write_pairs(pairs, fh)
     return EXIT_OK
@@ -174,7 +172,7 @@ def cmd_sets(args) -> int:
         raise UsageError(f"quorum {args.quorum} exceeds the {len(dataset)} "
                          "strings in the dataset")
     params = _params(args)
-    pairs = enumerate_pairs(dataset, params, threads=args.threads)
+    pairs = enumerate_pairs(dataset, params)
     sets = assemble(pairs, dataset, params)
     with open_out(args.out) as fh:
         write_sets(sets, fh, delta=params.delta, quorum=params.quorum)

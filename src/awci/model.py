@@ -1,7 +1,7 @@
 """Shared domain types: interned alphabet, indeterminate strings, intervals, parameters.
 
 All positions are 1-based in public interfaces. Every object here is immutable
-after construction and safe to share between worker threads.
+after construction.
 """
 from __future__ import annotations
 

@@ -18,8 +18,7 @@ before the (delta + 1)-th unreached one from i, for some ridge hit by S_x[i];
 
 A `RidgeT` holds the reach masks of one ordered pair, keyed by the ridge's
 first position and filled on first use, so the bound costs work per ridge
-the sweep actually meets. The cache is safe to fill from several threads: a
-key is only ever given one value, computed from read-only tables.
+the sweep actually meets.
 """
 from __future__ import annotations
 

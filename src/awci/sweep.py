@@ -28,12 +28,11 @@ search. `enumerate_pairs` lists the steps and why each is exact.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from itertools import accumulate
 from operator import or_
 from typing import Iterator
 
-from .model import AnchoredInterval, AwciError, Dataset, SearchParams
+from .model import AnchoredInterval, AwciError, Dataset, SearchParams, ValidationError
 from .oracle import AwciPair, make_pair
 from .ridge import build_all_ridge_t, filter_position
 from .tables import PairTables, build_pos_tables, set_bits, window
@@ -75,27 +74,6 @@ def refine_bounds(tables: PairTables, ridge_t, x: int, i: int, live: list[int],
 def collect_anchors(tables: PairTables, x: int, y: int, i: int) -> list[int]:
     """Positions of S_y hitting reference position i of S_x, ascending."""
     return set_bits(tables.hitmask[x][y][i])
-
-
-def incremental_indel_count(tables: PairTables, x: int, i: int, j: int,
-                            y: int, k: int, l: int) -> int:
-    """The sweep's acceptance quantity for ([i,j]_x, [k,l]_y).
-
-    Counts reference positions of [i, j] hit by no position of [k, l] plus
-    positions of [k, l] hitting nothing in [i, j]; equals the definitional
-    indel total of the pair.
-    """
-    masks = tables.hitmask[y][x]
-    w = window(i, j)
-    union = 0
-    d = 0
-    for p in range(k, l + 1):
-        hits = masks[p] & w
-        if hits:
-            union |= hits
-        else:
-            d += 1
-    return (j - i + 1 - union.bit_count()) + d
 
 
 def enumerate_trans_intervals(tables: PairTables, x: int, i: int, jmin: int,
@@ -272,11 +250,16 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
     computed. Each distinct interval of the reported pairs gets one
     `AnchoredInterval` and one character-set union per search, shared by all
     units and by both sides of every pair, so assembly's vertex lookups also
-    hit by identity. Under `threads > 1` two units may build the same key at
-    once; a key only ever gets equal values, so no output changes. With
-    `verify`, every pair is re-derived by `oracle.make_pair` and a
-    disagreement raises AssertionError.
+    hit by identity. With `verify`, every pair is re-derived by
+    `oracle.make_pair` and a disagreement raises AssertionError.
+
+    The search runs in one thread. `threads` accepts only 1, and any other
+    value raises ValidationError; the keyword stays only because
+    `perfbench/run.py` passes threads=1, and goes once that call stops.
     """
+    if threads != 1:
+        raise ValidationError(f"threads={threads}: the search runs in one "
+                              "thread, so threads must be 1")
     m = len(dataset)
     quorum = params.quorum
     if quorum > m:
@@ -302,32 +285,31 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
                                         string.char_set(a, b))
         return got
 
-    def run_unit(unit: tuple[int, int]) -> list[AwciPair]:
+    def run_unit(unit: tuple[int, int]) -> Iterator[AwciPair]:
         x, i = unit
         sx = dataset[x]
         jt = i + params.min_size - 1
         if jt > sx.contig_bounds(i)[1]:
-            return []
+            return
         nohit = tables.nohit[x]
         strings_at = tables.strings_at[x]
         w = window(i, jt)
         live = [y for y in set_bits(strings_at[i])
                 if (nohit[y] & w).bit_count() <= params.delta]
         if len(live) < quorum - 1:
-            return []
+            return
         live_mask = sum(1 << y for y in live)
         J = candidate_right_bounds(tables, ridge_t, x, i, params)
         if use_filter:
             J = refine_bounds(tables, ridge_t, x, i, live, J, params)
         if not J or J[-1] - i + 1 < params.min_size:
-            return []
+            return
         # results of the reported strings, in string order, grouped by j
         found_at: dict[int, list[tuple[int, int, int, int, int]]] = {}
         for y in (y for y in live if y > x):
             for j, k, l, covered, d in enumerate_trans_intervals(
                     tables, x, i, max(i, jt), J[-1], y, params):
                 found_at.setdefault(j, []).append((y, k, l, covered, d))
-        found: list[AwciPair] = []
         for j in sorted(found_at):
             entries = found_at[j]
             coverage = len({y for y, *_ in entries})
@@ -349,16 +331,10 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
                 if verify and make_pair(dataset, left, right, params) != pair:
                     raise AssertionError(f"sweep pair {left} ~ {right} "
                                          "disagrees with oracle.make_pair")
-                found.append(pair)
-        return found
+                yield pair
 
     # index 0 of strings_at is an unused 0, and quorum >= 2 skips it
     units = [(x, i) for x in range(m - 1)
              for i, at in enumerate(tables.strings_at[x]) if at.bit_count() >= quorum - 1]
-    if threads <= 1:
-        for unit in units:
-            yield from run_unit(unit)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for batch in pool.map(run_unit, units):
-                yield from batch
+    for unit in units:
+        yield from run_unit(unit)

@@ -18,10 +18,6 @@ shared read-only afterwards, plus one per string:
 Contig breaks are not in these tables; readers take them from
 `IndeterminateString.contig_bounds`.
 
-These tables never change after the build. The per-pair reach-mask caches of
-`ridge.RidgeT` are the only structures the sweep fills as it goes; that is
-safe under `threads > 1` because a cache key always gets the same value.
-
 Only characters held by two or more strings can make a hit, so only they are
 indexed: the shared characters come from one set union per string, and a
 position holding none of them is skipped without a bit (its hit masks stay 0,

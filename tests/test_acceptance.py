@@ -4,11 +4,16 @@ Shared expensive computations (instance sweeps, benchmark grid) live in
 session fixtures so soundness criteria reuse the same instances.
 """
 import io
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import awci.cli as cli
 import awci.sweep
 from awci.assemble import assemble
 from awci.ioformats import write_pairs, write_sets
@@ -17,8 +22,9 @@ from awci.oracle import (
     brute_force_maximal_closed_sets,
     brute_force_pairs,
     judge_pair,
+    make_pair,
 )
-from awci.sweep import enumerate_pairs, incremental_indel_count
+from awci.sweep import enumerate_pairs, enumerate_trans_intervals
 from awci.synth import PlantedSpec, generate_planted, random_instance
 from awci.tables import build_pos_tables
 from bench import median_sweep_time, run_single
@@ -156,25 +162,35 @@ def test_criterion_4_filter_and_prune_soundness(pair_differential, set_different
 
 
 def test_criterion_5_incremental_test_exactness():
-    checked = mismatched = 0
+    # the sweep's acceptance test lives in its trans walk: per left bound, the
+    # walk must return exactly the reportable pairs and their counts
+    checked = reportable = mismatched = 0
     for seed in range(2000, 2100):
         ds = random_instance(seed, max_m=3, max_n=9)
         tables = build_pos_tables(ds)
-        delta = seed % 3
-        for xi in range(len(ds) - 1):
-            for yi in range(xi + 1, len(ds)):
-                sx, sy = ds[xi], ds[yi]
-                for (i, j) in sx.intervals():
-                    for (k, l) in sy.intervals():
-                        v = judge_pair(ds, AnchoredInterval(sx.id, i, j),
-                                       AnchoredInterval(sy.id, k, l), delta)
-                        d = incremental_indel_count(tables, xi, i, j, yi, k, l)
-                        checked += 1
-                        if d != v.indel_total or (d <= delta) != v.is_awci:
-                            mismatched += 1
-    assert mismatched == 0
-    print(f"[criterion 5] incremental acceptance == oracle on {checked} "
-          f"interval pairs of 100 instances: PASS")
+        params = SearchParams(delta=seed % 3, quorum=2, min_size=0)
+        for x, sx in enumerate(ds):
+            for y, sy in enumerate(ds):
+                if x == y:
+                    continue
+                for i in range(1, len(sx) + 1):
+                    hi = sx.contig_bounds(i)[1]
+                    expected = []
+                    for j in range(i, hi + 1):
+                        a = AnchoredInterval(sx.id, i, j)
+                        for k, l in sy.intervals():
+                            b = AnchoredInterval(sy.id, k, l)
+                            checked += 1
+                            if make_pair(ds, a, b, params) is not None:
+                                v = judge_pair(ds, a, b, params.delta)
+                                expected.append((j, k, l, j - i + 1 - len(v.indel_left),
+                                                 len(v.indel_right)))
+                    reportable += len(expected)
+                    got = enumerate_trans_intervals(tables, x, i, i, hi, y, params)
+                    mismatched += got != sorted(expected)
+    assert mismatched == 0 and reportable > 0
+    print(f"[criterion 5] trans walk == oracle on {checked} interval pairs "
+          f"({reportable} reportable) of 100 instances: PASS")
 
 
 def test_criterion_6_planted_recovery():
@@ -235,20 +251,30 @@ def test_criterion_8_filter_vector_widths(bench_reports):
           "delta=2 widths at every m: PASS")
 
 
-def _pair_bytes(ds, params, threads):
+def _pair_bytes(ds, params):
     buf = io.StringIO()
-    write_pairs(enumerate_pairs(ds, params, threads=threads), buf)
+    write_pairs(enumerate_pairs(ds, params), buf)
     return buf.getvalue()
 
 
-def _set_bytes(ds, params, threads):
+def _set_bytes(ds, params):
     buf = io.StringIO()
-    sets = assemble(enumerate_pairs(ds, params, threads=threads), ds, params)
+    sets = assemble(enumerate_pairs(ds, params), ds, params)
     write_sets(sets, buf, delta=params.delta, quorum=params.quorum)
     return buf.getvalue()
 
 
-def test_criterion_9_determinism(demo):
+def _cli_bytes(hash_seed, command, ist):
+    src = str(Path(awci.__file__).parent.parent)
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "awci.cli", command, ist, "--delta", "1",
+         "--quorum", "3", "--min-size", "10"],
+        env=env, capture_output=True, check=True).stdout
+
+
+def test_criterion_9_determinism(demo, tmp_path):
     cases = [(demo, SearchParams(delta=1, quorum=3, min_size=6))]
     for seed in range(0, 40, 4):
         cases.append((random_instance(seed), pair_params(seed)))
@@ -257,10 +283,16 @@ def test_criterion_9_determinism(demo):
                                              block_length=20, seed=seed))
         cases.append((ds, SearchParams(delta=0, quorum=3, min_size=10)))
     for ds, params in cases:
-        p1 = _pair_bytes(ds, params, 1)
-        assert p1 == _pair_bytes(ds, params, 1)    # repeated run
-        assert p1 == _pair_bytes(ds, params, 4)    # thread count
-        s1 = _set_bytes(ds, params, 1)
-        assert s1 == _set_bytes(ds, params, 4)
-    print(f"[criterion 9] byte-identical outputs across reruns and thread "
-          f"counts on {len(cases)} inputs: PASS")
+        assert _pair_bytes(ds, params) == _pair_bytes(ds, params)
+        assert _set_bytes(ds, params) == _set_bytes(ds, params)
+    # string hashes, and so the order of sets of strings, differ between hash seeds
+    prefix = str(tmp_path / "planted")
+    assert cli.main(["gen", "--m", "4", "--n", "200", "--blocks", "3",
+                     "--block-length", "20", "--planted-delta", "1",
+                     "--background-sharing", "0.05", "--seed", "9",
+                     "--out", prefix]) == 0
+    for command in ("pairs", "sets"):
+        out = _cli_bytes("0", command, prefix + ".ist")
+        assert out.count(b"\n") > 3 and out == _cli_bytes("1", command, prefix + ".ist")
+    print(f"[criterion 9] byte-identical outputs across reruns on {len(cases)} "
+          f"inputs and across hash seeds 0 and 1 through the CLI: PASS")

@@ -6,10 +6,12 @@ benchmark jobs. These tests read the names from the benchmark's own source.
 """
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import awci
 from awci.ridge import build_all_ridge_t
+from awci.sweep import enumerate_pairs
 from awci.tables import build_pos_tables
 
 RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
@@ -44,6 +46,15 @@ def test_every_imported_name_exists():
     assert "build_all_ridge_t" in names
     for name in names:
         assert hasattr(awci, name), name
+
+
+def test_enumerate_pairs_binds_the_benchmark_call():
+    calls = [node for node in ast.walk(module_tree()) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "enumerate_pairs"]
+    assert calls
+    signature = inspect.signature(enumerate_pairs)
+    for call in calls:
+        signature.bind(*call.args, **{kw.arg: kw.value for kw in call.keywords})
 
 
 def test_ridge_and_table_attributes_read_by_the_traced_run(demo):

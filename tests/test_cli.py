@@ -1,5 +1,3 @@
-import os
-
 import pytest
 
 import awci.cli as cli
@@ -154,25 +152,25 @@ def test_verify_rederives_pairs_with_oracle(monkeypatch, capsys):
     assert "disagrees with oracle.make_pair" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["1,x", ","])
-def test_verify_bad_delta_list_is_usage_error(value, capsys):
-    # "1,x" is not an int list and "," names no delta
+def no_seed_checked(*args):
+    raise AssertionError("a seed was checked")
+
+
+@pytest.mark.parametrize("value", ["1,x", ",", "-1", "0,-2"])
+def test_verify_bad_delta_list_is_usage_error(value, monkeypatch, capsys):
+    # "1,x" is not an int list, "," names no delta, and a delta below 0
+    # would fail only at the first seed using it
+    monkeypatch.setattr(cli, "verify_seed", no_seed_checked)
     assert cli.main(["verify", "--seeds", "1", "--delta-list", value]) == 1
     err = capsys.readouterr().err
     assert "usage error" in err and "--delta-list" in err
 
 
-@pytest.mark.parametrize("command", ["pairs", "sets"])
-def test_threads_outside_cpu_count_is_usage_error(command, demo, tmp_path,
-                                                  monkeypatch, capsys):
-    import awci.sweep
+@pytest.mark.parametrize("value", ["0", "-3", "x"])
+def test_verify_seeds_below_one_is_usage_error(value, monkeypatch, capsys):
+    # --seeds 0 would check nothing and still report success
+    monkeypatch.setattr(cli, "verify_seed", no_seed_checked)
+    assert cli.main(["verify", "--seeds", value]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "--seeds" in err
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was started")
-
-    monkeypatch.setattr(awci.sweep, "ThreadPoolExecutor", no_pool)
-    ist = write_demo(demo, tmp_path)
-    for threads in (0, (os.cpu_count() or 1) + 1):
-        assert cli.main([command, ist, "--threads", str(threads)]) == 1
-        err = capsys.readouterr().err
-        assert "usage error" in err and "--threads" in err

@@ -205,29 +205,3 @@ def test_filter_demo_accepts_conserved_prefix(demo):
     for y in (1, 2):
         assert filter_position(t, rt, 0, y, 1, params) >= 8
 
-
-def test_cache_filled_from_threads_matches_serial():
-    # the sweep's worker threads share one cache per string pair; with more
-    # threads than cores and a short switch interval, every cached mask and
-    # span must still equal the ones a serial sweep builds
-    import sys
-
-    from awci.synth import PlantedSpec, generate_planted
-
-    ds, _ = generate_planted(PlantedSpec(m=4, n=120, block_count=2, block_length=15,
-                                         background_sharing=0.2, seed=3))
-    params = SearchParams(delta=2, quorum=2, min_size=4)
-    t = build_pos_tables(ds)
-    serial, shared = build_all_ridge_t(t, 2), build_all_ridge_t(t, 2)
-    expected = list(enumerate_pairs(ds, params, tables=t, ridge_t=serial))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = list(enumerate_pairs(ds, params, tables=t, ridge_t=shared, threads=8))
-    finally:
-        sys.setswitchinterval(interval)
-    assert got == expected and expected
-    for row_s, row_t in zip(serial, shared):
-        for rs, rt in zip(row_s, row_t):
-            if rs is not None:
-                assert (rt.masks, rt.spans, rt.width) == (rs.masks, rs.spans, rs.width)
