@@ -9,6 +9,8 @@ from .model import (
     Alphabet,
     AnchoredInterval,
     AwciError,
+    AwciPair,
+    AwciSet,
     Dataset,
     FormatError,
     IndeterminateString,
@@ -20,8 +22,6 @@ from .model import (
     build_string,
 )
 from .oracle import (
-    AwciPair,
-    AwciSet,
     PairVerdict,
     brute_force_maximal_closed_sets,
     brute_force_pairs,

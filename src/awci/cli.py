@@ -193,37 +193,44 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _show(item) -> str:
+    """A result's fields as name=value, intervals written as S:i-j."""
+    return " ".join(f"{k}={' '.join(map(str, v)) if isinstance(v, tuple) else v}"
+                    for k, v in vars(item).items())
+
+
+def first_difference(got: list, expected: list, what: str) -> list[str]:
+    """No message if the lists agree; else one naming the first differing
+    item as got / expected, or the counts if one list is a prefix of the other."""
+    if got == expected:
+        return []
+    for g, e in zip(got, expected):
+        if g != e:
+            return [f"{what} differ: got {_show(g)} / expected {_show(e)}"]
+    return [f"{len(got)} vs {len(expected)} {what}"]
+
+
 def verify_seed(seed: int, delta: int, min_size: int) -> list[str]:
     """Oracle differential of one seed; returns the mismatches found.
 
-    Pairs: the sweep at quorum 2, which reports every pair (filter on with
-    every pair re-derived by `make_pair`, and filter off), against
-    `brute_force_pairs` on `random_instance(seed)`.
+    Pairs: the sweep at quorum 2, which reports every pair (filter on and
+    off), against `brute_force_pairs` on `random_instance(seed)`.
     Sets: `assemble` against `brute_force_maximal_closed_sets` on the smaller
     `random_instance(seed, max_n=10)`, at quorum 2 or 3.
     """
-    problems = []
     dataset = random_instance(seed)
     params = SearchParams(delta=delta, quorum=2, min_size=min_size)
     expected = brute_force_pairs(dataset, params)
-    try:
-        got = list(enumerate_pairs(dataset, params, verify=True))
-    except AssertionError as exc:
-        problems.append(str(exc))
-    else:
-        if got != expected:
-            problems.append(f"{len(got)} vs {len(expected)} pairs")
-    got_off = list(enumerate_pairs(dataset, params, use_filter=False))
-    if got_off != expected:
-        problems.append(f"{len(got_off)} vs {len(expected)} pairs without filter")
+    problems = first_difference(list(enumerate_pairs(dataset, params)), expected, "pairs")
+    problems += first_difference(list(enumerate_pairs(dataset, params, use_filter=False)),
+                                 expected, "pairs without filter")
 
     small = random_instance(seed, max_n=10)
     params = SearchParams(delta=delta, quorum=min(2 + seed % 2, len(small)),
                           min_size=min_size)
-    expected_sets = brute_force_maximal_closed_sets(small, params)
-    got_sets = assemble(enumerate_pairs(small, params), small, params)
-    if got_sets != expected_sets:
-        problems.append(f"{len(got_sets)} vs {len(expected_sets)} closed sets")
+    problems += first_difference(assemble(enumerate_pairs(small, params), small, params),
+                                 brute_force_maximal_closed_sets(small, params),
+                                 "closed sets")
     return problems
 
 

@@ -23,13 +23,14 @@ from typing import IO, Iterable, Sequence
 from .model import (
     Alphabet,
     AnchoredInterval,
+    AwciPair,
+    AwciSet,
     Dataset,
     FormatError,
     IndeterminateString,
     ValidationError,
     build_string,
 )
-from .oracle import AwciPair, AwciSet
 
 PAIRS_HEADER = "#awci-pairs v1"
 SETS_HEADER = "#awci-sets v1"
@@ -261,7 +262,7 @@ def write_pairs(pairs: Iterable[AwciPair], fh: IO[str]) -> int:
         count += fh.write(
             f"{p.left.string_id}\t{p.left.i}\t{p.left.j}"
             f"\t{p.right.string_id}\t{p.right.i}\t{p.right.j}"
-            f"\t{p.indel_total}\t{p.size_left}\t{p.size_right}\t{len(p.common)}\n")
+            f"\t{p.indel_total}\t{p.size_left}\t{p.size_right}\t{p.common_size}\n")
     return count
 
 

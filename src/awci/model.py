@@ -188,6 +188,24 @@ class AnchoredInterval:
         return f"{self.string_id}:{self.i}-{self.j}"
 
 
+@dataclass(frozen=True)
+class AwciPair:
+    """A reported interval pair; `left` is always on the lower-indexed string."""
+    left: AnchoredInterval
+    right: AnchoredInterval
+    common_size: int  # characters shared by `left` and `right`
+    indel_total: int
+    size_left: int   # non-indel positions in `left`
+    size_right: int  # non-indel positions in `right`
+
+
+@dataclass(frozen=True)
+class AwciSet:
+    """A set of pairwise-AWCI intervals, one per string, with its closedness flag."""
+    members: tuple[AnchoredInterval, ...]
+    closed: bool
+
+
 class Dataset:
     """An ordered collection of indeterminate strings over one shared alphabet."""
 

@@ -12,6 +12,8 @@ from typing import Sequence
 
 from .model import (
     AnchoredInterval,
+    AwciPair,
+    AwciSet,
     Dataset,
     ResourceLimitError,
     SearchParams,
@@ -31,24 +33,6 @@ class PairVerdict:
     @property
     def indel_total(self) -> int:
         return len(self.indel_left) + len(self.indel_right)
-
-
-@dataclass(frozen=True)
-class AwciPair:
-    """A reported interval pair; `left` is always on the lower-indexed string."""
-    left: AnchoredInterval
-    right: AnchoredInterval
-    common: frozenset[int]
-    indel_total: int
-    size_left: int   # non-indel positions in `left`
-    size_right: int  # non-indel positions in `right`
-
-
-@dataclass(frozen=True)
-class AwciSet:
-    """A set of pairwise-AWCI intervals, one per string, with its closedness flag."""
-    members: tuple[AnchoredInterval, ...]
-    closed: bool
 
 
 def judge_pair(dataset: Dataset, a: AnchoredInterval, b: AnchoredInterval,
@@ -133,7 +117,7 @@ def make_pair(dataset: Dataset, a: AnchoredInterval, b: AnchoredInterval,
         a, b = b, a
         v = PairVerdict(v.is_wci, v.is_awci, v.common, v.indel_right, v.indel_left)
     return AwciPair(
-        left=a, right=b, common=v.common, indel_total=v.indel_total,
+        left=a, right=b, common_size=len(v.common), indel_total=v.indel_total,
         size_left=a.length - len(v.indel_left),
         size_right=b.length - len(v.indel_right),
     )

@@ -4,8 +4,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .model import Alphabet, AnchoredInterval, Dataset, ValidationError, build_string
-from .oracle import AwciSet
+from .model import Alphabet, AnchoredInterval, AwciSet, Dataset, ValidationError, build_string
 
 
 @dataclass(frozen=True)

@@ -93,8 +93,8 @@ class PairTables:
     @property
     def pos(self) -> list[list[list[list[int]] | None]]:
         """pos[x][y][i]: the sorted positions of S_y whose set intersects
-        S_x[i], read off `hitmask` on every access; only the benchmark's
-        traced run reads it."""
+        S_x[i], read off `hitmask` on every access; the search never reads
+        it, only the benchmark's traced run and the tests do."""
         return [[None if masks is None else [set_bits(mask) for mask in masks]
                  for masks in row] for row in self.hitmask]
 

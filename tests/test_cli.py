@@ -1,7 +1,12 @@
+from dataclasses import replace
+
 import pytest
 
 import awci.cli as cli
 from awci.ioformats import parse_sets, write_ist
+from awci.model import SearchParams
+from awci.sweep import enumerate_pairs
+from awci.synth import random_instance
 
 
 def write_demo(demo, tmp_path):
@@ -145,11 +150,22 @@ def test_verify_checks_closed_sets(monkeypatch, capsys):
     assert "closed sets" in capsys.readouterr().err
 
 
-def test_verify_rederives_pairs_with_oracle(monkeypatch, capsys):
-    import awci.sweep
-    monkeypatch.setattr(awci.sweep, "make_pair", lambda *args: None)
-    assert cli.main(["verify", "--seeds", "3"]) == 2
-    assert "disagrees with oracle.make_pair" in capsys.readouterr().err
+def test_verify_names_the_first_differing_pair(monkeypatch, capsys):
+    def first_pair_off(*args, **kwargs):
+        pairs = list(enumerate_pairs(*args, **kwargs))
+        if pairs:
+            pairs[0] = replace(pairs[0], indel_total=pairs[0].indel_total + 1)
+        return pairs
+
+    monkeypatch.setattr(cli, "enumerate_pairs", first_pair_off)
+    assert cli.main(["verify", "--seeds", "1"]) == 2
+    err = capsys.readouterr().err
+    # seed 0 runs at delta 0, min_size 1
+    first = next(enumerate_pairs(random_instance(0), SearchParams(delta=0, min_size=1)))
+    named = f"left={first.left} right={first.right}"
+    for total in (first.indel_total + 1, first.indel_total):
+        assert f"{named} common_size={first.common_size} indel_total={total} " in err
+    assert "pairs differ: got" in err and "pairs without filter differ: got" in err
 
 
 def no_seed_checked(*args):

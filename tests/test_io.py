@@ -17,6 +17,7 @@ from awci.ioformats import (
 from awci.model import AnchoredInterval, FormatError, SearchParams, ValidationError
 from awci.oracle import AwciSet, brute_force_pairs, judge_pair
 from awci.sweep import enumerate_pairs
+from awci.synth import random_instance
 from awci.tables import build_pos_tables
 from conftest import make_dataset
 
@@ -225,6 +226,24 @@ def test_write_pairs_demo(demo):
     assert lines[1].startswith("stringA\t")
     assert "S1\t1\t8\tS2\t2\t7\t1\t8\t5\t9" in lines
     assert n == len(buf.getvalue())
+
+
+def test_write_pairs_common_set_size_matches_judge_pair():
+    rows = 0
+    for seed in range(30):
+        ds = random_instance(seed)
+        delta = seed % 3
+        buf = io.StringIO()
+        write_pairs(enumerate_pairs(ds, SearchParams(delta=delta, quorum=2, min_size=1)), buf)
+        header = buf.getvalue().splitlines()[1].split("\t")
+        for line in buf.getvalue().splitlines()[2:]:
+            row = dict(zip(header, line.split("\t")))
+            left = AnchoredInterval(row["stringA"], int(row["iA"]), int(row["jA"]))
+            right = AnchoredInterval(row["stringB"], int(row["kB"]), int(row["lB"]))
+            common = judge_pair(ds, left, right, delta).common
+            assert int(row["commonSetSize"]) == len(common), (seed, line)
+            rows += 1
+    assert rows > 1000
 
 
 def test_write_pairs_empty_header_only():

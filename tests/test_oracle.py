@@ -1,7 +1,10 @@
+import ast
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import awci
 from awci.model import AnchoredInterval, ResourceLimitError, SearchParams, UnsupportedError
 from awci.oracle import (
     brute_force_maximal_closed_sets,
@@ -158,3 +161,21 @@ def test_brute_force_sets_resource_guard(demo):
     with pytest.raises(ResourceLimitError):
         brute_force_maximal_closed_sets(
             demo, SearchParams(delta=1, quorum=2, min_size=1), max_cliques=10)
+
+
+def test_only_cli_calls_the_oracle():
+    # the literal definitions are references for tests and `awci verify`;
+    # no other module of the package calls a name it takes from `.oracle`
+    checked = 0
+    for path in sorted(Path(awci.__file__).parent.glob("*.py")):
+        if path.name in ("cli.py", "oracle.py", "__init__.py"):
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 1
+                    and node.module == "oracle" for alias in node.names}
+        called = imported & {node.func.id for node in ast.walk(tree)
+                             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        assert not called, f"{path.name} calls oracle's {sorted(called)}"
+        checked += 1
+    assert checked >= 7

@@ -409,14 +409,3 @@ def test_enumerate_pairs_interns_intervals(demo):
                 assert first.setdefault(iv, iv) is iv
         both_sides += len({p.left for p in pairs} & {p.right for p in pairs})
     assert both_sides > 10
-
-
-def test_enumerate_pairs_verify_path_same_output(demo):
-    cases = [(demo, SearchParams(delta=1, quorum=3, min_size=6))]
-    for seed in range(30):
-        cases.append((random_instance(seed),
-                      SearchParams(delta=seed % 3, quorum=2, min_size=1 + seed % 2)))
-    for ds, params in cases:
-        plain = list(enumerate_pairs(ds, params))
-        assert plain
-        assert list(enumerate_pairs(ds, params, verify=True)) == plain
