@@ -25,7 +25,6 @@ from .oracle import (
     PairVerdict,
     brute_force_maximal_closed_sets,
     brute_force_pairs,
-    is_awci_set,
     is_closed_set,
     judge_pair,
     make_pair,
@@ -45,7 +44,7 @@ __all__ = [
     "SearchParams", "UnsupportedError", "ValidationError", "assemble",
     "brute_force_maximal_closed_sets", "brute_force_pairs", "build_all_ridge_t",
     "build_graph", "build_pos_tables", "build_string",
-    "enumerate_pairs", "generate_planted", "is_awci_set", "is_closed_set",
+    "enumerate_pairs", "generate_planted", "is_closed_set",
     "judge_pair", "make_pair", "maximal_closed_sets", "parse_ist",
     "parse_sets", "prune_dominated_vertices", "random_instance", "write_ist",
     "write_pairs", "write_sets",

@@ -140,11 +140,11 @@ def extension_masks(graph: AwciGraph) -> list[tuple[int, ...]]:
     set for every neighbour u whose character set meets S[p]. Positions off
     the string or across a contig break get no mask.
     """
-    char_sets = [graph.dataset.string_of(iv).char_set(iv.i, iv.j)
+    char_sets = [graph.dataset[iv.string_id].char_set(iv.i, iv.j)
                  for iv in graph.vertices]
     out: list[tuple[int, ...]] = []
     for v, iv in enumerate(graph.vertices):
-        s = graph.dataset.string_of(iv)
+        s = graph.dataset[iv.string_id]
         lo, hi = s.contig_bounds(iv.i)
         masks = []
         for p in (iv.i - 1, iv.j + 1):
@@ -206,7 +206,7 @@ def maximal_closed_sets(graph: AwciGraph, params: SearchParams, *,
             continue
         members = tuple(sorted((graph.vertices[v] for v in c),
                                key=dataset.sort_key))
-        results.append(AwciSet(members=members, closed=True))
+        results.append(AwciSet(members=members))
     results.sort(key=lambda s: tuple(dataset.sort_key(m) for m in s.members))
     return results
 

@@ -21,7 +21,7 @@ from .ioformats import (
     write_pairs,
     write_sets,
 )
-from .model import FormatError, ResourceLimitError, SearchParams, ValidationError
+from .model import Dataset, FormatError, ResourceLimitError, SearchParams, ValidationError
 from .oracle import brute_force_maximal_closed_sets, brute_force_pairs
 from .sweep import enumerate_pairs
 from .synth import PlantedSpec, generate_planted, random_instance
@@ -116,14 +116,15 @@ def open_out(path: str):
             yield fh
 
 
-def _params(args) -> SearchParams:
-    return SearchParams(delta=args.delta, quorum=args.quorum,
-                        min_size=args.min_size)
-
-
-def _load_dataset(path: str):
-    with open(path) as fh:
-        return parse_ist(fh, filename=path)
+def _search_input(args) -> tuple[Dataset, SearchParams]:
+    """The dataset of `args.ist` and the search parameters of the flags."""
+    with open(args.ist) as fh:
+        dataset = parse_ist(fh, filename=args.ist)
+    if args.quorum > len(dataset):
+        raise UsageError(f"quorum {args.quorum} exceeds the {len(dataset)} "
+                         "strings in the dataset")
+    return dataset, SearchParams(delta=args.delta, quorum=args.quorum,
+                                 min_size=args.min_size)
 
 
 def cmd_ingest(args) -> int:
@@ -156,22 +157,15 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_pairs(args) -> int:
-    dataset = _load_dataset(args.ist)
-    if args.quorum > len(dataset):
-        raise UsageError(f"quorum {args.quorum} exceeds the {len(dataset)} "
-                         "strings in the dataset")
-    pairs = enumerate_pairs(dataset, _params(args))
+    dataset, params = _search_input(args)
+    pairs = enumerate_pairs(dataset, params)
     with open_out(args.out) as fh:
         write_pairs(pairs, fh)
     return EXIT_OK
 
 
 def cmd_sets(args) -> int:
-    dataset = _load_dataset(args.ist)
-    if args.quorum > len(dataset):
-        raise UsageError(f"quorum {args.quorum} exceeds the {len(dataset)} "
-                         "strings in the dataset")
-    params = _params(args)
+    dataset, params = _search_input(args)
     pairs = enumerate_pairs(dataset, params)
     sets = assemble(pairs, dataset, params)
     with open_out(args.out) as fh:

@@ -7,7 +7,10 @@ IST format (UTF-8 text):
   * any other non-empty line is one position: whitespace-separated labels
 
 Pairs output: tab-separated with header ``#awci-pairs v1``.
-Sets output: one record per line after the ``#awci-sets v1`` header.
+Sets output: one record per line after the ``#awci-sets v1`` header: the
+members as ``ID:i-j`` separated by spaces, then tab-separated ``closed=1``,
+``delta=D`` and ``quorum=Q``. ``closed`` is always 1, since only closed sets
+are reported; `parse_sets` refuses any other value.
 Homology input: tab-separated ``genomeA geneA genomeB geneB score`` plus
 per-genome gene-order files (one gene id per line, ``#`` for contig breaks,
 ``%`` followed by whitespace or the end of the line for comments; any other
@@ -36,16 +39,14 @@ PAIRS_HEADER = "#awci-pairs v1"
 SETS_HEADER = "#awci-sets v1"
 
 
-def parse_ist(fh: IO[str], alphabet: Alphabet | None = None,
-              filename: str = "<ist>") -> Dataset:
+def parse_ist(fh: IO[str], filename: str = "<ist>") -> Dataset:
     """Parse an IST file into a dataset, with line-accurate errors.
 
     A '#' line is a contig break and needs a position on each side: a '#'
     before the first position, directly after another '#' or after the last
     position raises `FormatError` naming the line of that '#'.
     """
-    if alphabet is None:
-        alphabet = Alphabet()
+    alphabet = Alphabet()
     strings: list[IndeterminateString] = []
     seen: set[str] = set()
     cur_id: str | None = None
@@ -107,16 +108,10 @@ def parse_ist(fh: IO[str], alphabet: Alphabet | None = None,
         raise FormatError(f"{filename}: {exc}") from exc
 
 
-def write_ist(dataset: Dataset, fh: IO[str]) -> int:
-    """Write a dataset in IST format; returns bytes written."""
-    count = 0
-
-    def emit(line: str) -> None:
-        nonlocal count
-        count += fh.write(line + "\n")
-
+def write_ist(dataset: Dataset, fh: IO[str]) -> None:
+    """Write a dataset in IST format."""
     for s in dataset:
-        emit(f">{s.id}")
+        fh.write(f">{s.id}\n")
         for p, chars in enumerate(s.positions, start=1):
             labels = sorted(dataset.alphabet.label(c) for c in chars)
             if any(not l or l.split() != [l] for l in labels):
@@ -126,10 +121,9 @@ def write_ist(dataset: Dataset, fh: IO[str]) -> int:
             if line.startswith(("%", ">")) or line == "#":
                 raise FormatError(f"string {s.id!r}: position {p} would be read back "
                                   f"as a comment, header or contig break: {line!r}")
-            emit(line)
+            fh.write(line + "\n")
             if p in s.contig_breaks:
-                emit("#")
-    return count
+                fh.write("#\n")
 
 
 @dataclass(frozen=True)
@@ -267,12 +261,11 @@ def write_pairs(pairs: Iterable[AwciPair], fh: IO[str]) -> int:
 
 
 def write_sets(sets: Sequence[AwciSet], fh: IO[str], *, delta: int, quorum: int) -> int:
-    """Structured set records: members, closed flag, search parameters."""
+    """Structured set records: members, the constant closed=1, search parameters."""
     count = fh.write(SETS_HEADER + "\n")
     for s in sets:
         members = " ".join(f"{m.string_id}:{m.i}-{m.j}" for m in s.members)
-        closed = "1" if s.closed else "0"
-        count += fh.write(f"{members}\tclosed={closed}\tdelta={delta}\tquorum={quorum}\n")
+        count += fh.write(f"{members}\tclosed=1\tdelta={delta}\tquorum={quorum}\n")
     return count
 
 
@@ -301,11 +294,13 @@ def parse_sets(fh: IO[str], filename: str = "<sets>") -> list[tuple[AwciSet, int
         for field in fields[1:]:
             key, _, value = field.partition("=")
             meta[key] = value
+        if meta.get("closed") != "1":
+            raise FormatError(f"{filename}:{lineno}: expected closed=1, since only "
+                              "closed sets are written")
         try:
-            closed = meta["closed"] == "1"
             delta = int(meta["delta"])
             quorum = int(meta["quorum"])
         except (KeyError, ValueError) as exc:
             raise FormatError(f"{filename}:{lineno}: bad metadata") from exc
-        out.append((AwciSet(members=tuple(members), closed=closed), delta, quorum))
+        out.append((AwciSet(members=tuple(members)), delta, quorum))
     return out

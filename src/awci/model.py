@@ -41,11 +41,6 @@ class Alphabet:
         self._ids: dict[str, int] = {}
         self._labels: list[str] = []
 
-    def intern(self, label: str) -> int:
-        """Return the stable id for `label`, assigning the next dense id if new."""
-        (cid,) = self.intern_sets([[label]])[0]
-        return cid
-
     def intern_sets(self, label_sets: Sequence[Sequence[str]]) -> list[frozenset[int]]:
         """The id set of each label sequence; new labels get the next dense ids
         in first-seen order. Each distinct label is looked up once to find the
@@ -60,12 +55,6 @@ class Alphabet:
 
     def label(self, cid: int) -> str:
         return self._labels[cid]
-
-    def __len__(self) -> int:
-        return len(self._labels)
-
-    def __contains__(self, label: str) -> bool:
-        return label in self._ids
 
 
 class IndeterminateString:
@@ -108,24 +97,14 @@ class IndeterminateString:
     def __len__(self) -> int:
         return len(self.positions)
 
-    @property
-    def cardinality(self) -> int:
-        """Total number of elements across all position sets."""
-        return sum(len(p) for p in self.positions)
-
     def at(self, i: int) -> frozenset[int]:
         """Character set at 1-based position i."""
         if not 1 <= i <= len(self.positions):
             raise RangeError(f"string {self.id!r}: position {i} out of range")
         return self.positions[i - 1]
 
-    def char_set(self, i: int | None = None, j: int | None = None) -> frozenset[int]:
-        """Union of the sets at positions i..j (whole string by default)."""
-        if i is None and j is None:
-            i, j = 1, len(self.positions)
-        elif i is None or j is None:
-            raise RangeError(f"string {self.id!r}: interval needs both bounds, "
-                             f"got [{i}, {j}]")
+    def char_set(self, i: int, j: int) -> frozenset[int]:
+        """Union of the sets at positions i..j."""
         if i > j or i < 1 or j > len(self.positions):
             raise RangeError(f"string {self.id!r}: invalid interval [{i}, {j}]")
         return frozenset().union(*self.positions[i - 1:j])
@@ -135,9 +114,6 @@ class IndeterminateString:
         if not 1 <= p <= len(self.positions):
             raise RangeError(f"string {self.id!r}: position {p} out of range")
         return self._contig_of[p - 1]
-
-    def same_contig(self, i: int, j: int) -> bool:
-        return self.contig_bounds(i)[0] == self.contig_bounds(j)[0]
 
     def intervals(self) -> Iterator[tuple[int, int]]:
         """All valid (i, j) intervals, contig by contig."""
@@ -201,9 +177,8 @@ class AwciPair:
 
 @dataclass(frozen=True)
 class AwciSet:
-    """A set of pairwise-AWCI intervals, one per string, with its closedness flag."""
+    """A closed set of pairwise-AWCI intervals, one per string."""
     members: tuple[AnchoredInterval, ...]
-    closed: bool
 
 
 class Dataset:
@@ -231,14 +206,11 @@ class Dataset:
     def index_of(self, string_id: str) -> int:
         return self._index[string_id]
 
-    def string_of(self, interval: AnchoredInterval) -> IndeterminateString:
-        return self[interval.string_id]
-
     def check_interval(self, interval: AnchoredInterval) -> None:
         s = self[interval.string_id]
         if interval.j > len(s):
             raise RangeError(f"{interval} exceeds |{s.id}| = {len(s)}")
-        if not s.same_contig(interval.i, interval.j):
+        if s.contig_bounds(interval.i) != s.contig_bounds(interval.j):
             raise ValidationError(f"{interval} straddles a contig break")
 
     def sort_key(self, interval: AnchoredInterval) -> tuple[int, int, int]:

@@ -7,7 +7,6 @@ exponential in places; the set enumeration is gated by a resource guard.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 from .model import (
@@ -44,8 +43,8 @@ def judge_pair(dataset: Dataset, a: AnchoredInterval, b: AnchoredInterval,
     """
     if a.string_id == b.string_id:
         raise UnsupportedError("cannot compare two intervals of the same string")
-    sa = dataset.string_of(a)
-    sb = dataset.string_of(b)
+    sa = dataset[a.string_id]
+    sb = dataset[b.string_id]
     dataset.check_interval(a)
     dataset.check_interval(b)
     common = sa.char_set(a.i, a.j) & sb.char_set(b.i, b.j)
@@ -61,20 +60,7 @@ def judge_pair(dataset: Dataset, a: AnchoredInterval, b: AnchoredInterval,
     )
 
 
-def is_awci_set(dataset: Dataset, intervals: Sequence[AnchoredInterval],
-                delta: int) -> bool:
-    """True iff every unordered pair of members is a delta-AWCI pair."""
-    if len(intervals) < 2:
-        raise UnsupportedError("an AWCI set needs at least 2 intervals")
-    ids = [iv.string_id for iv in intervals]
-    if len(set(ids)) != len(ids):
-        raise UnsupportedError("at most one interval per string")
-    return all(judge_pair(dataset, a, b, delta).is_awci
-               for a, b in combinations(intervals, 2))
-
-
-def is_closed_set(dataset: Dataset, intervals: Sequence[AnchoredInterval],
-                  delta: int | None = None) -> bool:
+def is_closed_set(dataset: Dataset, intervals: Sequence[AnchoredInterval]) -> bool:
     """Closedness test: no member may be extendable by one adjacent position.
 
     A member [i, j] on S disqualifies the set if a position p in {i-1, j+1},
@@ -82,10 +68,10 @@ def is_closed_set(dataset: Dataset, intervals: Sequence[AnchoredInterval],
     set of every other member's interval.
     """
     for member in intervals:
-        s = dataset.string_of(member)
+        s = dataset[member.string_id]
         lo, hi = s.contig_bounds(member.i)
         others = [iv for iv in intervals if iv is not member]
-        other_sets = [dataset.string_of(iv).char_set(iv.i, iv.j) for iv in others]
+        other_sets = [dataset[iv.string_id].char_set(iv.i, iv.j) for iv in others]
         for p in (member.i - 1, member.j + 1):
             if not lo <= p <= hi:
                 continue
@@ -108,8 +94,8 @@ def make_pair(dataset: Dataset, a: AnchoredInterval, b: AnchoredInterval,
     v = judge_pair(dataset, a, b, params.delta)
     if not v.is_awci:
         return None
-    sa = dataset.string_of(a)
-    sb = dataset.string_of(b)
+    sa = dataset[a.string_id]
+    sb = dataset[b.string_id]
     for s, iv in ((sa, a), (sb, b)):
         if not (s.at(iv.i) & v.common) or not (s.at(iv.j) & v.common):
             return None
@@ -179,13 +165,13 @@ def brute_force_maximal_closed_sets(dataset: Dataset, params: SearchParams,
     extend([], list(range(len(vertices))))
 
     closed = [c for c in cliques
-              if is_closed_set(dataset, [vertices[v] for v in c], params.delta)]
+              if is_closed_set(dataset, [vertices[v] for v in c])]
     closed_sets = [frozenset(c) for c in closed]
     results: list[AwciSet] = []
     for c, cset in zip(closed, closed_sets):
         if any(cset < other for other in closed_sets):
             continue
         members = tuple(sorted((vertices[v] for v in c), key=dataset.sort_key))
-        results.append(AwciSet(members=members, closed=True))
+        results.append(AwciSet(members=members))
     results.sort(key=lambda s: tuple(dataset.sort_key(m) for m in s.members))
     return results

@@ -246,6 +246,12 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
     `use_filter=False` skips the ridge bound, so J is the whole contig
     suffix of i; it is the reference path the bound is checked against.
 
+    `tables` and `ridge_t` default to fresh builds. When passed, `tables`
+    must come from `build_pos_tables(dataset)` on this very dataset object,
+    and `ridge_t` from `build_all_ridge_t(tables, params.delta)` on those
+    tables; a mismatch raises AwciError, since index tables of another
+    dataset would drop pairs silently or fail far from the cause.
+
     Each pair is built from the sweep's own counts; only the size of its
     common set is computed. Each distinct interval of the reported pairs gets
     one `AnchoredInterval` and one character-set union per search, shared by
@@ -265,8 +271,12 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
         return
     if tables is None:
         tables = build_pos_tables(dataset)
+    elif tables.dataset is not dataset:
+        raise AwciError("tables were built for another dataset")
     if use_filter and ridge_t is None:
         ridge_t = build_all_ridge_t(tables, params.delta)
+    elif use_filter and ridge_t[0][1].hits is not tables.hitmask[1][0]:
+        raise AwciError("ridge_t was built from other tables than `tables`")
     elif use_filter and ridge_t[0][1].delta != params.delta:
         # narrower neighbourhoods than the budget would drop pairs silently
         raise AwciError(f"ridge_t was built for delta={ridge_t[0][1].delta}, "

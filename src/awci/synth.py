@@ -95,22 +95,22 @@ def generate_planted(spec: PlantedSpec) -> tuple[Dataset, list[AwciSet]]:
         members = tuple(AnchoredInterval(f"G{s + 1}", start,
                                          start + spec.block_length - 1)
                         for s in range(spec.m))
-        truth.append(AwciSet(members=members, closed=True))
+        truth.append(AwciSet(members=members))
     return dataset, truth
 
 
 def random_instance(seed: int, *, max_m: int = 4, max_n: int = 12,
-                    max_sigma: int = 8, max_set: int = 3,
                     break_prob: float = 0.1) -> Dataset:
-    """Small random dataset for differential testing (seeded, deterministic)."""
+    """Small random dataset for differential testing (seeded, deterministic):
+    up to 8 characters, up to 3 per position."""
     rng = random.Random(seed)
     m = rng.randint(2, max_m)
     alphabet = Alphabet()
-    sigma = [chr(ord("a") + c) for c in range(rng.randint(2, max_sigma))]
+    sigma = [chr(ord("a") + c) for c in range(rng.randint(2, 8))]
     strings = []
     for s in range(m):
         n = rng.randint(1, max_n)
-        positions = [rng.sample(sigma, rng.randint(1, min(max_set, len(sigma))))
+        positions = [rng.sample(sigma, rng.randint(1, min(3, len(sigma))))
                      for _ in range(n)]
         breaks = [p for p in range(1, n) if rng.random() < break_prob]
         strings.append(build_string(alphabet, f"S{s + 1}", positions, breaks))

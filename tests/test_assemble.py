@@ -139,7 +139,6 @@ def test_maximal_closed_sets_demo(demo):
     sets = maximal_closed_sets(demo_graph(demo, params), params)
     assert len(sets) == 1
     assert tuple(str(m) for m in sets[0].members) == ("S1:1-8", "S2:2-7", "S3:1-8")
-    assert sets[0].closed
 
 
 def test_single_edge_below_quorum(demo):
@@ -161,7 +160,7 @@ def test_peel_reports_closed_subclique():
     assert result == expected
     g = build_graph(pairs, ds, params)
     cliques = _maximal_cliques(g, 100_000)
-    assert any(len(c) >= 2 and not is_closed_set(ds, [g.vertices[v] for v in c], 1)
+    assert any(len(c) >= 2 and not is_closed_set(ds, [g.vertices[v] for v in c])
                for c in cliques)
     assert any(len(s.members) < max(len(c) for c in cliques) for s in result)
 
@@ -228,10 +227,10 @@ def mask_vs_oracle(ds, params):
             continue
         core = closed_core(masks, clique)
         members = [g.vertices[v] for v in clique]
-        assert is_closed_set(ds, [g.vertices[v] for v in core], params.delta), members
-        assert (core == clique) == is_closed_set(ds, members, params.delta), members
+        assert is_closed_set(ds, [g.vertices[v] for v in core]), members
+        assert (core == clique) == is_closed_set(ds, members), members
         for iv in members:
-            s = ds.string_of(iv)
+            s = ds[iv.string_id]
             lo, hi = s.contig_bounds(iv.i)
             if iv.i == 1 or iv.j == len(s):
                 kinds.add("string_end")

@@ -255,12 +255,12 @@ def test_write_pairs_empty_header_only():
 def test_sets_roundtrip():
     sets = [
         AwciSet(members=(AnchoredInterval("S1", 1, 8), AnchoredInterval("S2", 2, 7),
-                         AnchoredInterval("S3", 1, 8)), closed=True),
-        AwciSet(members=(AnchoredInterval("a:b", 3, 3), AnchoredInterval("T", 1, 2)),
-                closed=True),
+                         AnchoredInterval("S3", 1, 8))),
+        AwciSet(members=(AnchoredInterval("a:b", 3, 3), AnchoredInterval("T", 1, 2))),
     ]
     buf = io.StringIO()
     write_sets(sets, buf, delta=1, quorum=3)
+    assert buf.getvalue().splitlines()[1] == "S1:1-8 S2:2-7 S3:1-8\tclosed=1\tdelta=1\tquorum=3"
     buf.seek(0)
     parsed = parse_sets(buf)
     assert [s for s, _, _ in parsed] == sets
@@ -277,3 +277,12 @@ def test_sets_empty_and_errors():
         parse_sets(io.StringIO("#awci-sets v1\nS1:1-2\tclosed=1\n"))
     with pytest.raises(FormatError):
         parse_sets(io.StringIO("#awci-sets v1\nS1:x-2\tclosed=1\tdelta=0\tquorum=2\n"))
+
+
+@pytest.mark.parametrize("meta", ["closed=0\tdelta=0\tquorum=2",
+                                  "delta=0\tquorum=2\tclosd=1"])
+def test_parse_sets_refuses_records_not_closed(meta):
+    # only closed sets are written, so closed=0 or no closed= is malformed
+    text = f"#awci-sets v1\nS1:1-2 S2:1-2\tclosed=1\tdelta=0\tquorum=2\nS1:1-2\t{meta}\n"
+    with pytest.raises(FormatError, match=r"<sets>:3: expected closed=1"):
+        parse_sets(io.StringIO(text))

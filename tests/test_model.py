@@ -17,23 +17,19 @@ from conftest import labels_of, make_dataset
 
 def test_alphabet_intern_dense_and_idempotent():
     al = Alphabet()
-    assert al.intern("g") == 0
-    assert al.intern("g") == 0
-    assert al.intern("b") == 1
-    assert al.label(1) == "b"
-    assert "g" in al and "z" not in al
-    assert len(al) == 2
+    assert al.intern_sets([["g"], ["g", "b"]]) == [frozenset({0}), frozenset({0, 1})]
+    assert al.intern_sets([["b"], ["g"]]) == [frozenset({1}), frozenset({0})]
+    assert [al.label(0), al.label(1)] == ["g", "b"]
 
 
 def test_alphabet_rejects_empty_label():
     with pytest.raises(FormatError):
-        Alphabet().intern("")
+        Alphabet().intern_sets([["a", ""]])
 
 
 def test_demo_string_counts(demo):
     s1 = demo["S1"]
     assert len(s1) == 12
-    assert s1.cardinality == 22
     assert len(demo["S2"]) == 11
     assert len(demo["S3"]) == 13
 
@@ -41,7 +37,7 @@ def test_demo_string_counts(demo):
 def test_single_position_string():
     al = Alphabet()
     s = build_string(al, "S", [["a"]])
-    assert len(s) == 1 and s.cardinality == 1
+    assert len(s) == 1 and s.at(1) == frozenset({0})
 
 
 def test_empty_position_set_rejected():
@@ -69,8 +65,7 @@ def test_char_set_demo(demo):
 def test_char_set_singleton():
     al = Alphabet()
     s = build_string(al, "S", [["a"]])
-    assert s.char_set(1, 1) == frozenset({al.intern("a")})
-    assert s.char_set() == s.char_set(1, 1)
+    assert s.char_set(1, 1) == al.intern_sets([["a"]])[0]
 
 
 def test_char_set_range_errors(demo):
@@ -79,8 +74,6 @@ def test_char_set_range_errors(demo):
         s.char_set(3, 2)
     with pytest.raises(RangeError):
         s.char_set(1, 13)
-    with pytest.raises(RangeError):
-        s.char_set(3)
     with pytest.raises(RangeError):
         s.at(0)
 
@@ -93,11 +86,6 @@ def test_char_set_monotone(demo):
             assert inner <= s.char_set(max(1, i - 1), min(len(s), j + 1))
 
 
-def test_cardinality_at_least_length(demo):
-    for s in demo:
-        assert s.cardinality >= len(s)
-
-
 def test_contig_bounds_and_intervals():
     ds = make_dataset(("S", [["a"], ["b"], ["c"], ["d"], ["e"]], [2]))
     s = ds["S"]
@@ -106,7 +94,9 @@ def test_contig_bounds_and_intervals():
     for p in (0, -1, 6):
         with pytest.raises(RangeError):
             s.contig_bounds(p)
-    assert s.same_contig(1, 2) and not s.same_contig(2, 3)
+    ds.check_interval(AnchoredInterval("S", 1, 2))
+    with pytest.raises(ValidationError, match="straddles"):
+        ds.check_interval(AnchoredInterval("S", 2, 3))
     ivs = list(s.intervals())
     assert (2, 3) not in ivs and (1, 2) in ivs and (3, 5) in ivs
     # 3 intervals in the first contig, 6 in the second

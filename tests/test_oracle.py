@@ -9,7 +9,6 @@ from awci.model import AnchoredInterval, ResourceLimitError, SearchParams, Unsup
 from awci.oracle import (
     brute_force_maximal_closed_sets,
     brute_force_pairs,
-    is_awci_set,
     is_closed_set,
     judge_pair,
     make_pair,
@@ -65,15 +64,6 @@ def test_awci_monotone_in_delta(demo):
             assert judge_pair(demo, a, b, delta + 1).is_awci
 
 
-def test_is_awci_set_demo(demo):
-    assert is_awci_set(demo, GOLDEN, 1)
-    assert not is_awci_set(demo, GOLDEN, 0)
-    with pytest.raises(UnsupportedError):
-        is_awci_set(demo, GOLDEN[:1], 1)
-    with pytest.raises(UnsupportedError):
-        is_awci_set(demo, (GOLDEN[0], GOLDEN[0]), 1)
-
-
 def test_is_closed_set_demo(demo):
     assert is_closed_set(demo, GOLDEN)
     # shrinking S1's interval leaves position 8 = {f} extendable
@@ -88,10 +78,9 @@ def test_closedness_not_hereditary(witness):
     assert WITNESS_CLOSED in reported and ("S1:1-3", "S2:1-2") in reported
     full = (AnchoredInterval("S1", 1, 2), AnchoredInterval("S2", 1, 2),
             AnchoredInterval("S3", 1, 2))
-    assert is_awci_set(witness, full, 1)
+    assert all(judge_pair(witness, a, b, 1).is_awci for a, b in combinations(full, 2))
     assert is_closed_set(witness, full)
     subset = full[:2]
-    assert is_awci_set(witness, subset, 1)
     assert not is_closed_set(witness, subset)
 
 
@@ -142,7 +131,6 @@ def test_brute_force_sets_demo(demo):
     sets = brute_force_maximal_closed_sets(demo, SearchParams(delta=1, quorum=3, min_size=6))
     assert len(sets) == 1
     assert tuple(str(m) for m in sets[0].members) == ("S1:1-8", "S2:2-7", "S3:1-8")
-    assert sets[0].closed
 
 
 def test_brute_force_sets_disjoint_alphabets():

@@ -82,7 +82,7 @@ def test_reach_masks_match_literal_neighbourhoods():
                     if x == y:
                         continue
                     sx, sy = ds[x], ds[y]
-                    shared = sx.char_set()
+                    shared = sx.char_set(1, len(sx))
 
                     def trivial(q):
                         return not sy.at(q) & shared

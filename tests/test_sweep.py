@@ -280,6 +280,33 @@ def test_enumerate_pairs_refuses_ridge_t_of_another_delta(demo):
     assert list(enumerate_pairs(demo, params, tables=t, ridge_t=build_all_ridge_t(t, 1)))
 
 
+def test_enumerate_pairs_refuses_tables_of_another_dataset():
+    # these tables gave 29 pairs where the oracle finds 940, without an error
+    ds, other = random_instance(3), random_instance(4)
+    params = SearchParams(delta=1, quorum=2)
+    with pytest.raises(AwciError, match="another dataset"):
+        list(enumerate_pairs(ds, params, tables=build_pos_tables(other)))
+    with pytest.raises(AwciError, match="another dataset"):
+        list(enumerate_pairs(ds, params, use_filter=False,
+                             tables=build_pos_tables(other)))
+
+
+def test_enumerate_pairs_refuses_ridge_t_of_other_tables():
+    ds, other = random_instance(3), random_instance(4)
+    params = SearchParams(delta=1, quorum=2)
+    t = build_pos_tables(ds)
+    foreign = build_all_ridge_t(build_pos_tables(other), params.delta)
+    with pytest.raises(AwciError, match="other tables"):
+        list(enumerate_pairs(ds, params, tables=t, ridge_t=foreign))
+    # a second build of the same dataset's tables is another object too
+    with pytest.raises(AwciError, match="other tables"):
+        list(enumerate_pairs(ds, params, tables=t, ridge_t=build_all_ridge_t(
+            build_pos_tables(ds), params.delta)))
+    assert (list(enumerate_pairs(ds, params, tables=t,
+                                 ridge_t=build_all_ridge_t(t, params.delta)))
+            == brute_force_pairs(ds, params))
+
+
 @pytest.mark.parametrize("threads", [0, 2])
 def test_enumerate_pairs_refuses_threads_other_than_one(demo, threads):
     params = SearchParams(delta=1, quorum=3, min_size=6)

@@ -1,8 +1,10 @@
+from itertools import combinations
+
 import pytest
 
 from awci.assemble import assemble
 from awci.model import SearchParams, ValidationError
-from awci.oracle import is_awci_set, is_closed_set
+from awci.oracle import is_closed_set, judge_pair
 from awci.sweep import enumerate_pairs
 from awci.synth import PlantedSpec, generate_planted, random_instance
 
@@ -16,7 +18,7 @@ def test_planted_dimensions_and_truth():
     for ts in truth:
         assert len(ts.members) == 3
         assert all(m.length == 10 for m in ts.members)
-        assert is_awci_set(ds, ts.members, 0)
+        assert all(judge_pair(ds, a, b, 0).is_awci for a, b in combinations(ts.members, 2))
         assert is_closed_set(ds, ts.members)
 
 
@@ -33,7 +35,7 @@ def test_planted_with_indels_stays_awci():
                        planted_delta=2, seed=9)
     ds, truth = generate_planted(spec)
     for ts in truth:
-        assert is_awci_set(ds, ts.members, 2)
+        assert all(judge_pair(ds, a, b, 2).is_awci for a, b in combinations(ts.members, 2))
         assert is_closed_set(ds, ts.members)
 
 
