@@ -10,6 +10,8 @@ Reported sets are the cores not contained in another reported core.
 """
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Callable, Iterable, Sequence
 
 from .model import AnchoredInterval, AwciPair, AwciSet, Dataset, ResourceLimitError, SearchParams
@@ -138,20 +140,23 @@ def extension_masks(graph: AwciGraph) -> list[tuple[int, ...]]:
 
     For v = [i, j] on S and p in {i-1, j+1} inside S and v's contig, bit u is
     set for every neighbour u whose character set meets S[p]. Positions off
-    the string or across a contig break get no mask.
+    the string or across a contig break get no mask. Neighbours lie on other
+    strings, so the test runs on `Dataset.shared_masks`: S[p]'s mask against
+    the OR of u's masks; a position with mask 0 meets no neighbour.
     """
-    char_sets = [graph.dataset[iv.string_id].char_set(iv.i, iv.j)
-                 for iv in graph.vertices]
+    dataset = graph.dataset
+    char_masks = [reduce(or_, dataset.shared_masks[x][iv.i:iv.j + 1])
+                  for x, iv in zip(graph.string_index, graph.vertices)]
     out: list[tuple[int, ...]] = []
-    for v, iv in enumerate(graph.vertices):
-        s = graph.dataset[iv.string_id]
-        lo, hi = s.contig_bounds(iv.i)
+    for v, (x, iv) in enumerate(zip(graph.string_index, graph.vertices)):
+        sm = dataset.shared_masks[x]
+        lo, hi = dataset[x].contig_bounds(iv.i)
         masks = []
         for p in (iv.i - 1, iv.j + 1):
             if lo <= p <= hi:
-                pset = s.at(p)
-                masks.append(sum(1 << u for u in graph.adj[v]
-                                 if not pset.isdisjoint(char_sets[u])))
+                pm = sm[p]
+                masks.append(sum(1 << u for u in graph.adj[v] if pm & char_masks[u])
+                             if pm else 0)
         out.append(tuple(masks))
     return out
 

@@ -1,7 +1,7 @@
 """File formats: indeterminate-string text files, homology tables, result writers.
 
 IST format (UTF-8 text):
-  * ``>ID`` starts a new string
+  * ``>ID`` starts a new string; the ID holds no whitespace
   * ``#`` alone on a line inserts a contig break
   * ``%`` begins a comment line
   * any other non-empty line is one position: whitespace-separated labels
@@ -82,6 +82,8 @@ def parse_ist(fh: IO[str], filename: str = "<ist>") -> Dataset:
             sid = raw.strip()[1:].strip()
             if not sid:
                 raise FormatError(f"{filename}:{lineno}: missing string id after '>'")
+            if sid.split() != [sid]:
+                raise FormatError(f"{filename}:{lineno}: string id {sid!r} holds whitespace")
             if sid in seen:
                 raise FormatError(f"{filename}:{lineno}: duplicate string id {sid!r}")
             seen.add(sid)

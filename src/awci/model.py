@@ -6,7 +6,8 @@ after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, count, repeat
+from itertools import chain, compress, count, repeat
+from operator import not_
 from typing import Iterable, Iterator, Sequence
 
 
@@ -60,6 +61,9 @@ class Alphabet:
 class IndeterminateString:
     """A sequence of non-empty character-id sets with explicit contig boundaries.
 
+    The id is non-empty and holds no whitespace, which the pairs and sets
+    output formats use as a delimiter.
+
     `contig_breaks` holds positions p meaning a boundary lies between p and p+1.
     Intervals never straddle a boundary.
     """
@@ -70,6 +74,9 @@ class IndeterminateString:
                  contig_breaks: Iterable[int] = ()) -> None:
         if not id:
             raise ValidationError("string id must be non-empty")
+        if id.split() != [id]:
+            # the pairs and sets output formats delimit ids with whitespace
+            raise ValidationError(f"string id {id!r} holds whitespace")
         # frozenset() hands back a frozenset argument itself, so only other
         # iterables are copied
         positions = tuple(map(frozenset, positions))
@@ -182,7 +189,19 @@ class AwciSet:
 
 
 class Dataset:
-    """An ordered collection of indeterminate strings over one shared alphabet."""
+    """An ordered collection of indeterminate strings over one shared alphabet.
+
+    `shared_masks[x][p]` is S_x[p] (1-based p; index 0 holds an unused 0)
+    restricted to the *shared* characters, those held by at least two
+    strings, as one int with a bit per shared character; a position holding
+    none of them reads 0. The restriction is exact for every question the
+    search asks of two intervals on different strings, or of an interval and
+    a position of another string: a character both hold is held by two
+    strings, so it is shared. Hence the common set of [a, b]_x and [c, d]_y
+    (x != y) has the size of the AND of the two intervals' ORed masks, and
+    S_x[p] meets an interval of another string iff their masks meet. Private
+    characters never match, so dropping them loses nothing.
+    """
 
     def __init__(self, strings: Sequence[IndeterminateString], alphabet: Alphabet) -> None:
         ids = [s.id for s in strings]
@@ -191,6 +210,7 @@ class Dataset:
         self.strings = tuple(strings)
         self.alphabet = alphabet
         self._index = {s.id: k for k, s in enumerate(self.strings)}
+        self.shared_masks = _shared_masks(self.strings)
 
     def __len__(self) -> int:
         return len(self.strings)
@@ -215,6 +235,32 @@ class Dataset:
 
     def sort_key(self, interval: AnchoredInterval) -> tuple[int, int, int]:
         return (self._index[interval.string_id], interval.i, interval.j)
+
+
+def _shared_masks(strings: Sequence[IndeterminateString]) -> tuple[tuple[int, ...], ...]:
+    """`Dataset.shared_masks`: per string, index 0 an unused 0, then per
+    position p the int with bit c set for each shared character of S[p],
+    c being that character's rank among the shared ids. Only the positions
+    holding a shared character are visited one by one."""
+    seen: set[int] = set()
+    shared: set[int] = set()
+    for s in strings:
+        chars = set().union(*s.positions)
+        shared |= seen & chars
+        seen |= chars
+    bit_of = {c: 1 << k for k, c in enumerate(sorted(shared))}.get
+    out = []
+    for s in strings:
+        positions = s.positions
+        masks = [0] * (len(s) + 1)
+        # the positions meeting `shared`, found without a Python-level loop
+        for p in compress(count(1), map(not_, map(shared.isdisjoint, positions))):
+            mask = 0
+            for c in positions[p - 1]:
+                mask |= bit_of(c, 0)
+            masks[p] = mask
+        out.append(tuple(masks))
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,14 @@ positions hitting nothing in it among the first min_size positions from i.
 The right bounds of a unit stop at the (quorum - 1)-th largest per-string
 end of `ridge.filter_position`. Strings that count towards the quorum but
 are not reported are only tested for one interval per right bound that
-needs them. Each distinct interval and its character set are built once per
-search. `enumerate_pairs` lists the steps and why each is exact.
+needs them. Each distinct interval and its shared-character mask (an int, the
+OR of `Dataset.shared_masks` over it) are built once per search, and a pair's
+common-set size is one AND and a popcount. `enumerate_pairs` lists the steps
+and why each is exact.
 """
 from __future__ import annotations
 
+from functools import reduce
 from itertools import accumulate
 from operator import or_
 from typing import Iterator
@@ -253,10 +256,12 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
     dataset would drop pairs silently or fail far from the cause.
 
     Each pair is built from the sweep's own counts; only the size of its
-    common set is computed. Each distinct interval of the reported pairs gets
-    one `AnchoredInterval` and one character-set union per search, shared by
-    all units and by both sides of every pair, so assembly's vertex lookups
-    also hit by identity.
+    common set is computed, as the popcount of the AND of the two intervals'
+    shared-character masks (`Dataset.shared_masks` ORed over the interval;
+    the two sides lie on different strings, so this is exact). Each distinct
+    interval of the reported pairs gets one `AnchoredInterval` and one such
+    mask per search, shared by all units and by both sides of every pair, so
+    assembly's vertex lookups also hit by identity.
 
     The search runs in one thread. `threads` accepts only 1, and any other
     value raises ValidationError; the keyword stays only because
@@ -282,16 +287,15 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
         raise AwciError(f"ridge_t was built for delta={ridge_t[0][1].delta}, "
                         f"not delta={params.delta}")
 
-    # (string, i, j) -> the interval and its character-set union
-    intervals: dict[tuple[int, int, int],
-                    tuple[AnchoredInterval, frozenset[int]]] = {}
+    # (string, i, j) -> the interval and the OR of its shared-character masks
+    intervals: dict[tuple[int, int, int], tuple[AnchoredInterval, int]] = {}
+    shared_masks = dataset.shared_masks
 
-    def interval(s: int, a: int, b: int) -> tuple[AnchoredInterval, frozenset[int]]:
+    def interval(s: int, a: int, b: int) -> tuple[AnchoredInterval, int]:
         got = intervals.get((s, a, b))
         if got is None:
-            string = dataset[s]
-            got = intervals[s, a, b] = (AnchoredInterval(string.id, a, b),
-                                        string.char_set(a, b))
+            got = intervals[s, a, b] = (AnchoredInterval(dataset[s].id, a, b),
+                                        reduce(or_, shared_masks[s][a:b + 1]))
         return got
 
     def run_unit(unit: tuple[int, int]) -> Iterator[AwciPair]:
@@ -330,13 +334,12 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
                         coverage += 1
                 if coverage < quorum - 1:
                     continue
-            left, left_set = interval(x, i, j)
+            left, left_mask = interval(x, i, j)
             for y, k, l, covered, d in entries:
-                right, right_set = interval(y, k, l)
-                yield AwciPair(
-                    left=left, right=right, common_size=len(left_set & right_set),
-                    indel_total=j - i + 1 - covered + d,
-                    size_left=covered, size_right=l - k + 1 - d)
+                right, right_mask = interval(y, k, l)
+                # left, right, common_size, indel_total, size_left, size_right
+                yield AwciPair(left, right, (left_mask & right_mask).bit_count(),
+                               j - i + 1 - covered + d, covered, l - k + 1 - d)
 
     # index 0 of strings_at is an unused 0, and quorum >= 2 skips it
     units = [(x, i) for x in range(m - 1)

@@ -19,14 +19,16 @@ Contig breaks are not in these tables; readers take them from
 `IndeterminateString.contig_bounds`.
 
 Only characters held by two or more strings can make a hit, so only they are
-indexed: the shared characters come from one set union per string, and a
-position holding none of them is skipped without a bit (its hit masks stay 0,
-its `strings_at` entry 0, and it is a trivial indel against every string).
+indexed: a position whose `Dataset.shared_masks` entry is 0 holds none of
+them and is skipped without a bit (its hit masks stay 0, its `strings_at`
+entry 0, and it is a trivial indel against every string).
 The work per ordered pair follows shared occurrences, not positions: every
 hit mask starts as 0, made by list multiplication, and only the occurrences
 in S_x of the characters S_x and S_y share are visited to set its bits.
 """
 from __future__ import annotations
+
+from itertools import compress, count
 
 from .model import AwciError, Dataset
 
@@ -38,27 +40,19 @@ class PairTables:
     def __init__(self, dataset: Dataset) -> None:
         self.dataset = dataset
         m = len(dataset)
-        # the characters at least two strings hold; no pair can use the rest
-        seen: set[int] = set()
-        shared: set[int] = set()
-        for s in dataset:
-            chars = set().union(*s.positions)
-            shared |= seen & chars
-            seen |= chars
         # occurrences at the positions holding a shared character: for each
         # string, char id -> sorted positions, and char id -> the int with
         # those positions' bits set (a private character beside a shared one
         # is kept too; no other string's keys match it)
         occ: list[dict[int, list[int]]] = []
         occ_bits: list[dict[int, int]] = []
-        for s in dataset:
+        for s, shared in zip(dataset, dataset.shared_masks):
             d: dict[int, list[int]] = {}
             b: dict[int, int] = {}
-            for p, chars in enumerate(s.positions, start=1):
-                if chars.isdisjoint(shared):
-                    continue
+            # the positions whose mask is not 0, ascending (index 0 reads 0)
+            for p in compress(count(), shared):
                 bit = 1 << p
-                for c in chars:
+                for c in s.positions[p - 1]:
                     if c in d:
                         d[c].append(p)
                         b[c] |= bit

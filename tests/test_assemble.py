@@ -263,3 +263,31 @@ def test_extension_masks_non_hereditary_witness(witness):
                               for s in assemble(enumerate_pairs(witness, params),
                                                 witness, params)}
 
+
+def literal_extension_masks(graph):
+    """`extension_masks` by its definition, on frozensets."""
+    ds = graph.dataset
+    char_sets = [ds[iv.string_id].char_set(iv.i, iv.j) for iv in graph.vertices]
+    out = []
+    for v, iv in enumerate(graph.vertices):
+        s = ds[iv.string_id]
+        lo, hi = s.contig_bounds(iv.i)
+        out.append(tuple(sum(1 << u for u in graph.adj[v]
+                             if not s.at(p).isdisjoint(char_sets[u]))
+                         for p in (iv.i - 1, iv.j + 1) if lo <= p <= hi))
+    return out
+
+
+def test_extension_masks_match_char_sets():
+    params = SearchParams(delta=1, quorum=2, min_size=1)
+    for seed in range(20):
+        ds = random_instance(seed, break_prob=0.3)
+        g = build_graph(enumerate_pairs(ds, params), ds, params)
+        assert extension_masks(g) == literal_extension_masks(g), seed
+    # private characters beside the vertices: those positions meet nothing
+    ds = make_dataset(("S", [["x"], ["a"], ["b"], ["y"]]), ("T", [["a"], ["b"], ["a"]]))
+    g = build_graph(enumerate_pairs(ds, params), ds, params)
+    masks = extension_masks(g)
+    assert masks == literal_extension_masks(g)
+    s23 = g.vertices.index(AnchoredInterval("S", 2, 3))
+    assert masks[s23] == (0, 0)

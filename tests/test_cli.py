@@ -145,6 +145,21 @@ def test_ingest_rejects_genome_name_read_as_homology_comment(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ingest_rejects_genome_name_with_whitespace(tmp_path, capsys):
+    # "G 1" would become a string id that the pairs and sets outputs split
+    (tmp_path / "ga.genes").write_text("g1\n")
+    (tmp_path / "gb.genes").write_text("h1\n")
+    (tmp_path / "hits.tsv").write_text("G 1\tg1\tGb\th1\t1.0\n")
+    out = tmp_path / "out.ist"
+    rc = cli.main(["ingest", "--homology", str(tmp_path / "hits.tsv"),
+                   "--genes", f"G 1={tmp_path}/ga.genes",
+                   "--genes", f"Gb={tmp_path}/gb.genes", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'G 1'" in err and "whitespace" in err
+    assert not out.exists()
+
+
 def test_verify_checks_closed_sets(monkeypatch, capsys):
     monkeypatch.setattr(cli, "assemble", lambda pairs, ds, params: [])
     assert cli.main(["verify", "--seeds", "5"]) == 2

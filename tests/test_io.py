@@ -86,6 +86,17 @@ def test_ist_rejects_break_without_position_after(text, line, needle):
     assert f"in.ist:{line}:" in str(exc.value) and needle in str(exc.value)
 
 
+@pytest.mark.parametrize("text, line", [
+    (">G 1\na\n", 1),
+    (">A\na\n>H\ta\nb\n", 3),
+])
+def test_ist_rejects_string_id_with_whitespace(text, line):
+    # such an id would add a field to every pairs row and break sets records
+    with pytest.raises(FormatError) as exc:
+        parse_ist(io.StringIO(text), filename="in.ist")
+    assert f"in.ist:{line}:" in str(exc.value) and "whitespace" in str(exc.value)
+
+
 def test_write_ist_rejects_unencodable_labels():
     ds = make_dataset(("A", [["a b"]]))
     with pytest.raises(FormatError):

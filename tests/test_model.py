@@ -1,3 +1,7 @@
+from functools import reduce
+from itertools import combinations
+from operator import or_
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +16,7 @@ from awci.model import (
     ValidationError,
     build_string,
 )
+from awci.synth import random_instance
 from conftest import labels_of, make_dataset
 
 
@@ -46,6 +51,13 @@ def test_empty_position_set_rejected():
         build_string(al, "S", [["a"], []])
     with pytest.raises(ValidationError):
         IndeterminateString("S", [frozenset()])
+
+
+@pytest.mark.parametrize("sid", ["G 1", "H\ta", " G", "G\n"])
+def test_string_id_with_whitespace_rejected(sid):
+    # the pairs and sets outputs delimit ids with tabs and spaces
+    with pytest.raises(ValidationError, match="whitespace"):
+        build_string(Alphabet(), sid, [["a"]])
 
 
 def test_contig_break_out_of_range():
@@ -156,3 +168,31 @@ def test_build_string_roundtrips_sets(label_sets):
     assert len(s) == len(label_sets)
     for p, labels in enumerate(label_sets, start=1):
         assert {al.label(c) for c in s.at(p)} == set(labels)
+
+
+def test_shared_masks_match_frozensets():
+    # the common set of two intervals on different strings has the size of
+    # the AND of their ORed masks, and a mask is 0 exactly where a position
+    # shares nothing with the other strings
+    for seed in range(200):
+        ds = random_instance(seed)
+        masks = ds.shared_masks
+        intervals = []
+        for x, s in enumerate(ds):
+            others = frozenset().union(*(t.char_set(1, len(t)) for t in ds if t is not s))
+            assert len(masks[x]) == len(s) + 1 and masks[x][0] == 0
+            for p in range(1, len(s) + 1):
+                assert (masks[x][p] == 0) == s.at(p).isdisjoint(others)
+            intervals.append([(s.char_set(i, j), reduce(or_, masks[x][i:j + 1]))
+                              for i, j in s.intervals()])
+        for ivs_x, ivs_y in combinations(intervals, 2):
+            assert all((mask_a & mask_b).bit_count() == len(set_a & set_b)
+                       for set_a, mask_a in ivs_x for set_b, mask_b in ivs_y), seed
+
+
+def test_shared_masks_drop_private_characters():
+    ds = make_dataset(("S", [["x"], ["a", "y"], ["b"]]), ("T", [["b", "z"], ["a"]]))
+    a, b = ds.shared_masks[0][2], ds.shared_masks[0][3]
+    assert ds.shared_masks[0] == (0, 0, a, b)
+    assert ds.shared_masks[1] == (0, b, a)
+    assert a & b == 0 and a.bit_count() == b.bit_count() == 1

@@ -167,3 +167,14 @@ def test_only_cli_calls_the_oracle():
         assert not called, f"{path.name} calls oracle's {sorted(called)}"
         checked += 1
     assert checked >= 7
+
+
+def test_hot_path_reads_no_character_sets():
+    # the index, ridge bound, sweep and assembly read `Dataset.shared_masks`;
+    # the frozenset accessors are for the oracle and the tests
+    for name in ("tables.py", "ridge.py", "sweep.py", "assemble.py"):
+        tree = ast.parse((Path(awci.__file__).parent / name).read_text())
+        called = {node.func.attr if isinstance(node.func, ast.Attribute) else
+                  getattr(node.func, "id", None)
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        assert not called & {"char_set", "at"}, f"{name} calls {sorted(called & {'char_set', 'at'})}"
