@@ -134,8 +134,7 @@ def cmd_ingest(args) -> int:
         if not genome or not path:
             raise UsageError(f"--genes expects GENOME=FILE, got {spec!r}")
         if genome[0] in "#%":
-            # parse_homology skips such lines, and the genome's private
-            # labels would read back from the IST output as comments
+            # parse_homology skips a hit line starting with such a name
             raise ValidationError(f"genome name {genome!r} begins with "
                                   f"{genome[0]!r}, which marks a comment line")
         specs.append((genome, path))
@@ -189,8 +188,11 @@ def cmd_gen(args) -> int:
 
 def _show(item) -> str:
     """A result's fields as name=value, intervals written as S:i-j."""
-    return " ".join(f"{k}={' '.join(map(str, v)) if isinstance(v, tuple) else v}"
-                    for k, v in vars(item).items())
+    fields = item._asdict() if isinstance(item, tuple) else vars(item)
+    # an interval is a tuple subclass; only a plain tuple (a set's members)
+    # is joined
+    return " ".join(f"{k}={' '.join(map(str, v)) if type(v) is tuple else v}"
+                    for k, v in fields.items())
 
 
 def first_difference(got: list, expected: list, what: str) -> list[str]:

@@ -221,6 +221,10 @@ def homology_to_strings(table: HomologyTable, threshold: float) -> Dataset:
     exactly the two gene positions it relates (homology stays non-transitive);
     every gene also carries a private character so no position set is empty.
     Character minting is order-independent because records are sorted first.
+    The private character of gene k (from 1) of genome r (from 0, in sorted
+    order) is ``p{r}.{k}``: names built from the genome and gene ids could collide
+    (genome ``E``, gene ``coli.x`` against genome ``E.coli``, gene ``x``) or
+    hold whitespace, and these cannot, nor meet the ``h{n}`` record labels.
     """
     table.validate()
     alphabet = Alphabet()
@@ -230,8 +234,8 @@ def homology_to_strings(table: HomologyTable, threshold: float) -> Dataset:
             position_of[(genome, gene)] = idx
 
     sets: dict[str, list[set[str]]] = {
-        genome: [{f"{genome}.{gene}"} for gene in order]
-        for genome, order in table.gene_orders.items()
+        genome: [{f"p{rank}.{k}"} for k in range(1, len(table.gene_orders[genome]) + 1)]
+        for rank, genome in enumerate(sorted(table.gene_orders))
     }
     accepted = sorted(
         (r for r in table.records if r.score >= threshold),

@@ -5,10 +5,11 @@ after construction.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
 from operator import not_
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class AwciError(Exception):
@@ -152,16 +153,15 @@ def build_string(alphabet: Alphabet, id: str, label_sets: Sequence[Iterable[str]
     return IndeterminateString(id, alphabet.intern_sets(label_sets), contig_breaks)
 
 
-@dataclass(frozen=True, order=True)
-class AnchoredInterval:
-    """An interval [i, j] (inclusive, 1-based) anchored to one string."""
-    string_id: str
-    i: int
-    j: int
+class AnchoredInterval(namedtuple("AnchoredInterval", "string_id i j")):
+    """An interval [i, j] (inclusive, 1-based) anchored to one string, as the
+    tuple (string_id, i, j), whose hash, equality and order it keeps."""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.i <= self.j:
-            raise ValidationError(f"invalid interval [{self.i}, {self.j}]")
+    def __new__(cls, string_id: str, i: int, j: int) -> AnchoredInterval:
+        if not 1 <= i <= j:
+            raise ValidationError(f"invalid interval [{i}, {j}]")
+        return tuple.__new__(cls, (string_id, i, j))
 
     @property
     def length(self) -> int:
@@ -171,9 +171,8 @@ class AnchoredInterval:
         return f"{self.string_id}:{self.i}-{self.j}"
 
 
-@dataclass(frozen=True)
-class AwciPair:
-    """A reported interval pair; `left` is always on the lower-indexed string."""
+class AwciPair(NamedTuple):
+    """A reported interval pair (a tuple); `left` is always on the lower-indexed string."""
     left: AnchoredInterval
     right: AnchoredInterval
     common_size: int  # characters shared by `left` and `right`

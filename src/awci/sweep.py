@@ -260,8 +260,8 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
     shared-character masks (`Dataset.shared_masks` ORed over the interval;
     the two sides lie on different strings, so this is exact). Each distinct
     interval of the reported pairs gets one `AnchoredInterval` and one such
-    mask per search, shared by all units and by both sides of every pair, so
-    assembly's vertex lookups also hit by identity.
+    mask per search, shared by all units and by both sides of every pair;
+    pairs and intervals are tuples, so both are built and hashed in C.
 
     The search runs in one thread. `threads` accepts only 1, and any other
     value raises ValidationError; the keyword stays only because
@@ -337,9 +337,10 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
             left, left_mask = interval(x, i, j)
             for y, k, l, covered, d in entries:
                 right, right_mask = interval(y, k, l)
-                # left, right, common_size, indel_total, size_left, size_right
-                yield AwciPair(left, right, (left_mask & right_mask).bit_count(),
-                               j - i + 1 - covered + d, covered, l - k + 1 - d)
+                # AwciPair(left, right, common_size, indel_total, size_left,
+                # size_right), without the frame of its Python-level __new__
+                yield tuple.__new__(AwciPair, (left, right, (left_mask & right_mask).bit_count(),
+                                               j - i + 1 - covered + d, covered, l - k + 1 - d))
 
     # index 0 of strings_at is an unused 0, and quorum >= 2 skips it
     units = [(x, i) for x in range(m - 1)

@@ -1,11 +1,11 @@
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import awci.cli as cli
 from awci.ioformats import parse_sets, write_ist
-from awci.model import SearchParams
+from awci.model import AnchoredInterval, AwciSet, SearchParams
+from awci.oracle import brute_force_maximal_closed_sets
 from awci.sweep import enumerate_pairs
 from awci.synth import random_instance
 
@@ -118,8 +118,8 @@ def test_ingest_rejects_gene_id_read_as_comment(tmp_path, capsys):
 
 
 def test_ingest_rejects_genome_name_read_back_as_comment(tmp_path, capsys):
-    # every gene of genome %G carries the private label "%G.<gene>", which
-    # sorts first on its line and would make the line a comment
+    # a hit line starting with %G would be a comment to parse_homology, so
+    # the name is refused wherever it stands
     (tmp_path / "ga.genes").write_text("g1\n")
     (tmp_path / "gb.genes").write_text("h1\n")
     (tmp_path / "hits.tsv").write_text("Gb\th1\t%G\tg1\t1.0\n")
@@ -170,7 +170,7 @@ def test_verify_names_the_first_differing_pair(monkeypatch, capsys):
     def first_pair_off(*args, **kwargs):
         pairs = list(enumerate_pairs(*args, **kwargs))
         if pairs:
-            pairs[0] = replace(pairs[0], indel_total=pairs[0].indel_total + 1)
+            pairs[0] = pairs[0]._replace(indel_total=pairs[0].indel_total + 1)
         return pairs
 
     monkeypatch.setattr(cli, "enumerate_pairs", first_pair_off)
@@ -182,6 +182,21 @@ def test_verify_names_the_first_differing_pair(monkeypatch, capsys):
     for total in (first.indel_total + 1, first.indel_total):
         assert f"{named} common_size={first.common_size} indel_total={total} " in err
     assert "pairs differ: got" in err and "pairs without filter differ: got" in err
+
+
+def test_verify_names_the_members_of_the_first_differing_set(monkeypatch, capsys):
+    # seed 0 checks assemble on random_instance(0, max_n=10) at delta 0,
+    # quorum 2, min_size 1
+    small = random_instance(0, max_n=10)
+    wrong = AwciSet(members=(AnchoredInterval(small[0].id, 1, 1),
+                             AnchoredInterval(small[1].id, 1, 2)))
+    monkeypatch.setattr(cli, "assemble", lambda pairs, ds, params: [wrong])
+    assert cli.main(["verify", "--seeds", "1"]) == 2
+    expected = brute_force_maximal_closed_sets(
+        small, SearchParams(delta=0, quorum=2, min_size=1))[0]
+    got = f"members={small[0].id}:1-1 {small[1].id}:1-2"
+    assert (f"closed sets differ: got {got} / expected members="
+            f"{' '.join(map(str, expected.members))}") in capsys.readouterr().err
 
 
 def no_seed_checked(*args):

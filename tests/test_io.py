@@ -192,6 +192,15 @@ def test_homology_empty_table_no_pairs():
     assert brute_force_pairs(ds, SearchParams(delta=0, quorum=2, min_size=1)) == []
 
 
+def test_homology_private_characters_never_shared():
+    # genome E with gene coli.x and genome E.coli with gene x once both got
+    # the private label "E.coli.x", which paired them without any record
+    table = HomologyTable([], {"E": ["coli.x"], "E.coli": ["x"]}, {})
+    ds = homology_to_strings(table, threshold=0.0)
+    assert ds.shared_masks == ((0, 0), (0, 0))
+    assert list(enumerate_pairs(ds, SearchParams(delta=0, quorum=2, min_size=1))) == []
+
+
 def test_homology_unmatched_gene_is_trivial_indel():
     table = homology_fixture()
     table.gene_orders["Ga"] = ["g1", "g0", "g2"]

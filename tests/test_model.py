@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from awci.model import (
     Alphabet,
     AnchoredInterval,
+    AwciPair,
     Dataset,
     FormatError,
     IndeterminateString,
@@ -132,6 +133,17 @@ def test_anchored_interval():
         AnchoredInterval("S1", 3, 2)
     with pytest.raises(ValidationError):
         AnchoredInterval("S1", 0, 2)
+
+
+def test_pairs_and_intervals_are_tuples():
+    # built, hashed and compared in C; an interval hashes and orders as its
+    # field tuple, so vertex dicts and sorted outputs keep their order
+    assert issubclass(AwciPair, tuple) and issubclass(AnchoredInterval, tuple)
+    ivs = [AnchoredInterval("S2", 1, 3), AnchoredInterval("S1", 2, 2),
+           AnchoredInterval("S1", 1, 4), AnchoredInterval("S1", 1, 2)]
+    fields = [(iv.string_id, iv.i, iv.j) for iv in ivs]
+    assert [hash(iv) for iv in ivs] == [hash(f) for f in fields]
+    assert [tuple(iv) for iv in sorted(ivs)] == sorted(fields)
 
 
 def test_dataset_lookup_and_checks(demo):
