@@ -43,17 +43,23 @@ class Alphabet:
         self._ids: dict[str, int] = {}
         self._labels: list[str] = []
 
-    def intern_sets(self, label_sets: Sequence[Sequence[str]]) -> list[frozenset[int]]:
-        """The id set of each label sequence; new labels get the next dense ids
-        in first-seen order. Each distinct label is looked up once to find the
-        new ones, then each occurrence once to read its id."""
-        ids = self._ids
-        fresh = [l for l in dict.fromkeys(chain.from_iterable(label_sets)) if l not in ids]
-        if "" in fresh:
-            raise FormatError("empty character label")
-        ids.update(zip(fresh, count(len(self._labels))))
-        self._labels.extend(fresh)
-        return [frozenset(map(ids.__getitem__, labels)) for labels in label_sets]
+    def intern_sets(self, label_sets: Iterable[Iterable[str]]) -> list[frozenset[int]]:
+        """The id set of each group of labels, read once; new labels get the
+        next dense ids in first-seen order, at one dict lookup per occurrence.
+        An empty label raises FormatError; the labels before it stay interned."""
+        ids, names = self._ids, self._labels
+        out = []
+        for labels in label_sets:
+            cs = []
+            for l in labels:
+                if (c := ids.get(l)) is None:
+                    if not l:
+                        raise FormatError("empty character label")
+                    c = ids[l] = len(names)
+                    names.append(l)
+                cs.append(c)
+            out.append(frozenset(cs))
+        return out
 
     def label(self, cid: int) -> str:
         return self._labels[cid]
@@ -69,7 +75,7 @@ class IndeterminateString:
     Intervals never straddle a boundary.
     """
 
-    __slots__ = ("id", "positions", "contig_breaks", "_contigs", "_contig_of")
+    __slots__ = ("id", "positions", "contig_breaks", "_contig_of")
 
     def __init__(self, id: str, positions: Sequence[frozenset[int]],
                  contig_breaks: Iterable[int] = ()) -> None:
@@ -94,41 +100,21 @@ class IndeterminateString:
         self.id = id
         self.positions = positions
         self.contig_breaks = breaks
-        # one shared (first, last) tuple per contig, and per position (index
-        # p - 1) a reference to its contig's tuple
+        # per position (index p - 1) a reference to its contig's one shared
+        # (first, last) tuple
         starts = [1] + [b + 1 for b in sorted(breaks)]
         ends = [s - 1 for s in starts[1:]] + [n]
-        self._contigs = tuple(zip(starts, ends))
         self._contig_of = tuple(chain.from_iterable(
-            repeat(c, c[1] - c[0] + 1) for c in self._contigs))
+            repeat(c, c[1] - c[0] + 1) for c in zip(starts, ends)))
 
     def __len__(self) -> int:
         return len(self.positions)
-
-    def at(self, i: int) -> frozenset[int]:
-        """Character set at 1-based position i."""
-        if not 1 <= i <= len(self.positions):
-            raise RangeError(f"string {self.id!r}: position {i} out of range")
-        return self.positions[i - 1]
-
-    def char_set(self, i: int, j: int) -> frozenset[int]:
-        """Union of the sets at positions i..j."""
-        if i > j or i < 1 or j > len(self.positions):
-            raise RangeError(f"string {self.id!r}: invalid interval [{i}, {j}]")
-        return frozenset().union(*self.positions[i - 1:j])
 
     def contig_bounds(self, p: int) -> tuple[int, int]:
         """(first, last) position of the contig containing position p."""
         if not 1 <= p <= len(self.positions):
             raise RangeError(f"string {self.id!r}: position {p} out of range")
         return self._contig_of[p - 1]
-
-    def intervals(self) -> Iterator[tuple[int, int]]:
-        """All valid (i, j) intervals, contig by contig."""
-        for lo, hi in self._contigs:
-            for i in range(lo, hi + 1):
-                for j in range(i, hi + 1):
-                    yield i, j
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IndeterminateString):
@@ -143,13 +129,10 @@ class IndeterminateString:
         return f"IndeterminateString({self.id!r}, n={len(self)})"
 
 
-def build_string(alphabet: Alphabet, id: str, label_sets: Sequence[Iterable[str]],
+def build_string(alphabet: Alphabet, id: str, label_sets: Iterable[Iterable[str]],
                  contig_breaks: Iterable[int] = ()) -> IndeterminateString:
-    """Intern labels and construct a validated IndeterminateString."""
-    label_sets = list(map(list, label_sets))
-    if not all(label_sets):
-        idx = label_sets.index([])
-        raise ValidationError(f"string {id!r}: empty set at position {idx + 1}")
+    """Intern labels and construct a validated IndeterminateString; the label
+    groups go to `Alphabet.intern_sets` as they are, without a copy."""
     return IndeterminateString(id, alphabet.intern_sets(label_sets), contig_breaks)
 
 
@@ -224,13 +207,6 @@ class Dataset:
 
     def index_of(self, string_id: str) -> int:
         return self._index[string_id]
-
-    def check_interval(self, interval: AnchoredInterval) -> None:
-        s = self[interval.string_id]
-        if interval.j > len(s):
-            raise RangeError(f"{interval} exceeds |{s.id}| = {len(s)}")
-        if s.contig_bounds(interval.i) != s.contig_bounds(interval.j):
-            raise ValidationError(f"{interval} straddles a contig break")
 
     def sort_key(self, interval: AnchoredInterval) -> tuple[int, int, int]:
         return (self._index[interval.string_id], interval.i, interval.j)

@@ -7,17 +7,41 @@ exponential in places; the set enumeration is gated by a resource guard.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .model import (
-    AnchoredInterval,
-    AwciPair,
-    AwciSet,
-    Dataset,
-    ResourceLimitError,
-    SearchParams,
-    UnsupportedError,
-)
+from .model import (AnchoredInterval, AwciPair, AwciSet, Dataset, IndeterminateString,
+                    RangeError, ResourceLimitError, SearchParams, UnsupportedError,
+                    ValidationError)
+
+
+def at(s: IndeterminateString, p: int) -> frozenset[int]:
+    """Character set at 1-based position p of s."""
+    if not 1 <= p <= len(s):
+        raise RangeError(f"string {s.id!r}: position {p} out of range")
+    return s.positions[p - 1]
+
+
+def char_set(s: IndeterminateString, i: int, j: int) -> frozenset[int]:
+    """Union of the sets at positions i..j of s."""
+    if i > j or i < 1 or j > len(s):
+        raise RangeError(f"string {s.id!r}: invalid interval [{i}, {j}]")
+    return frozenset().union(*s.positions[i - 1:j])
+
+
+def intervals(s: IndeterminateString) -> Iterator[tuple[int, int]]:
+    """All valid (i, j) intervals of s, contig by contig."""
+    for i in range(1, len(s) + 1):
+        for j in range(i, s.contig_bounds(i)[1] + 1):
+            yield i, j
+
+
+def check_interval(dataset: Dataset, interval: AnchoredInterval) -> None:
+    """Raise unless `interval` lies inside its string and inside one contig."""
+    s = dataset[interval.string_id]
+    if interval.j > len(s):
+        raise RangeError(f"{interval} exceeds |{s.id}| = {len(s)}")
+    if s.contig_bounds(interval.i) != s.contig_bounds(interval.j):
+        raise ValidationError(f"{interval} straddles a contig break")
 
 
 @dataclass(frozen=True)
@@ -45,11 +69,11 @@ def judge_pair(dataset: Dataset, a: AnchoredInterval, b: AnchoredInterval,
         raise UnsupportedError("cannot compare two intervals of the same string")
     sa = dataset[a.string_id]
     sb = dataset[b.string_id]
-    dataset.check_interval(a)
-    dataset.check_interval(b)
-    common = sa.char_set(a.i, a.j) & sb.char_set(b.i, b.j)
-    indel_left = tuple(p for p in range(a.i, a.j + 1) if not (sa.at(p) & common))
-    indel_right = tuple(p for p in range(b.i, b.j + 1) if not (sb.at(p) & common))
+    check_interval(dataset, a)
+    check_interval(dataset, b)
+    common = char_set(sa, a.i, a.j) & char_set(sb, b.i, b.j)
+    indel_left = tuple(p for p in range(a.i, a.j + 1) if not (at(sa, p) & common))
+    indel_right = tuple(p for p in range(b.i, b.j + 1) if not (at(sb, p) & common))
     total = len(indel_left) + len(indel_right)
     return PairVerdict(
         is_wci=(total == 0),
@@ -71,11 +95,11 @@ def is_closed_set(dataset: Dataset, intervals: Sequence[AnchoredInterval]) -> bo
         s = dataset[member.string_id]
         lo, hi = s.contig_bounds(member.i)
         others = [iv for iv in intervals if iv is not member]
-        other_sets = [dataset[iv.string_id].char_set(iv.i, iv.j) for iv in others]
+        other_sets = [char_set(dataset[iv.string_id], iv.i, iv.j) for iv in others]
         for p in (member.i - 1, member.j + 1):
             if not lo <= p <= hi:
                 continue
-            pset = s.at(p)
+            pset = at(s, p)
             if all(pset & cs for cs in other_sets):
                 return False
     return True
@@ -97,7 +121,7 @@ def make_pair(dataset: Dataset, a: AnchoredInterval, b: AnchoredInterval,
     sa = dataset[a.string_id]
     sb = dataset[b.string_id]
     for s, iv in ((sa, a), (sb, b)):
-        if not (s.at(iv.i) & v.common) or not (s.at(iv.j) & v.common):
+        if not (at(s, iv.i) & v.common) or not (at(s, iv.j) & v.common):
             return None
     if dataset.index_of(a.string_id) > dataset.index_of(b.string_id):
         a, b = b, a
@@ -117,9 +141,9 @@ def brute_force_pairs(dataset: Dataset, params: SearchParams) -> list[AwciPair]:
         sx = dataset[xi]
         for yi in range(xi + 1, m):
             sy = dataset[yi]
-            for (i, j) in sx.intervals():
+            for (i, j) in intervals(sx):
                 a = AnchoredInterval(sx.id, i, j)
-                for (k, l) in sy.intervals():
+                for (k, l) in intervals(sy):
                     pair = make_pair(dataset, a, AnchoredInterval(sy.id, k, l), params)
                     if pair is not None:
                         out.append(pair)

@@ -22,6 +22,9 @@ the sweep actually meets.
 """
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
+
 from .model import IndeterminateString, SearchParams
 from .tables import PairTables, set_bits, window
 
@@ -47,7 +50,8 @@ class RidgeT:
         return max(self.spans.values(), default=0)
 
     def reach(self, p: int) -> int:
-        """The reach mask of the ridge holding p, a position of S_y hitting S_x."""
+        """The reach mask of the ridge holding p, a position of S_y hitting S_x,
+        built on the ridge's first call; later calls return the cached object."""
         lo, hi = self.sy.contig_bounds(p)
         # the trivial indels of p's contig before p; the last one sits just
         # before p's ridge
@@ -64,10 +68,7 @@ class RidgeT:
             right &= right - 1
         k_star = left.bit_length() or lo
         l_star = (right & -right).bit_length() - 2 if right else hi
-        hits = self.hits
-        mask = 0
-        for q in range(k_star, l_star + 1):
-            mask |= hits[q]
+        mask = reduce(or_, self.hits[k_star:l_star + 1])
         self.spans[first] = l_star - k_star + 1
         self.masks[first] = mask
         return mask
@@ -87,13 +88,19 @@ def filter_position(tables: PairTables, ridge_t: list[list[RidgeT | None]],
     Per ridge hit by S_x[i], the last position of its reach mask before the
     (delta + 1)-th position it misses, counting from i inside i's contig;
     the maximum over those ridges; at least i, or -1 when S_y does not hit
-    S_x[i].
+    S_x[i]. An anchor (a position of S_y hitting i) is skipped when its reach
+    mask is the object the previous anchor got: same ridge, same end.
     """
     rt = ridge_t[x][y]
     w = window(i, tables.dataset[x].contig_bounds(i)[1])
     end = -1
+    last = None
     for p in set_bits(tables.hitmask[x][y][i]):
-        reached = rt.reach(p) & w  # type: ignore[union-attr]
+        mask = rt.reach(p)  # type: ignore[union-attr]
+        if mask is last:  # the previous anchor's ridge, so the same end
+            continue
+        last = mask
+        reached = mask & w
         missed = w ^ reached
         for _ in range(params.delta):
             missed &= missed - 1

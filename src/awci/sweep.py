@@ -8,25 +8,11 @@ trans position p are `hitmask[y][x][p] & W`, a candidate interval's state is
 the union of its positions' hits plus a count of positions that hit nothing,
 and the acceptance and endpoint tests are a few int operations each. One
 walk per (left bound, reported string) covers every right bound of the
-unit: it runs over the widest window and reads off, per candidate, the right
-bounds it pairs with. The walk starts only at its anchors, the positions of
-S_y hitting i: by endpoint anchoring every interval pairing with [i, j]
-holds one (as in the `ridge` module's bound), so each candidate is visited
-once, under the first anchor at or after k, and i is anchored by
-construction.
-
-Endpoint anchoring also prunes the work before it is spent: an interval of
-S_y pairs with [i, j]_x only if S_y hits both i and j, so a unit or a trans
-string that too few strings hit at its endpoints is skipped without running
-the ridge bound or walking intervals; so is a string with more than delta
-positions hitting nothing in it among the first min_size positions from i.
-The right bounds of a unit stop at the (quorum - 1)-th largest per-string
-end of `ridge.filter_position`. Strings that count towards the quorum but
-are not reported are only tested for one interval per right bound that
-needs them. Each distinct interval and its shared-character mask (an int, the
-OR of `Dataset.shared_masks` over it) are built once per search, and a pair's
-common-set size is one AND and a popcount. `enumerate_pairs` lists the steps
-and why each is exact.
+unit: it runs over the widest window, starting only at the positions of S_y
+hitting i, and reads off, per candidate, the right bounds it pairs with.
+Endpoint anchoring, a min-size lookahead and the `ridge` module's bound drop
+units and strings before any walk runs; `enumerate_pairs` lists the steps and
+why each is exact.
 """
 from __future__ import annotations
 
@@ -214,8 +200,9 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
       * min-size lookahead: with jt = i + min_size - 1, a unit whose contig
         ends before jt stops at once, and a string S_y hitting i stays live
         only if [i, jt] has at most delta positions hitting nothing in S_y
-        (the bits of `nohit[x][y]` in `window(i, jt)`); the unit stops
-        before the ridge bound when fewer than quorum - 1 strings stay live.
+        (the bits of `nohit[x][y]` in `window(i, jt)`); one pass over the
+        strings hitting i stops the unit, before the ridge bound, at the
+        first string too many that fails (at quorum = m, the first failure).
         This is exact: a position hitting nothing in S_y is an indel of every
         pair of [i, j] with an interval of S_y, and that count never falls as
         j grows, so no [i, j] with j >= jt pairs with S_y, and every j < jt
@@ -307,16 +294,21 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
         nohit = tables.nohit[x]
         strings_at = tables.strings_at[x]
         w = window(i, jt)
-        live = [y for y in set_bits(strings_at[i])
-                if (nohit[y] & w).bit_count() <= params.delta]
-        if len(live) < quorum - 1:
-            return
-        live_mask = sum(1 << y for y in live)
+        hitting = set_bits(strings_at[i])
+        # how many strings hitting i may fail the lookahead, leaving quorum - 1
+        spare = len(hitting) - (quorum - 1)
+        live = []
+        for y in hitting:
+            if (nohit[y] & w).bit_count() <= params.delta:
+                live.append(y)
+            elif (spare := spare - 1) < 0:
+                return
         J = candidate_right_bounds(tables, ridge_t, x, i, params)
         if use_filter:
             J = refine_bounds(tables, ridge_t, x, i, live, J, params)
         if not J or J[-1] - i + 1 < params.min_size:
             return
+        live_mask = sum(1 << y for y in live)
         # results of the reported strings, in string order, grouped by j
         found_at: dict[int, list[tuple[int, int, int, int, int]]] = {}
         for y in (y for y in live if y > x):

@@ -65,16 +65,17 @@ class PairTables:
         self.hitmask: list[list[list[int] | None]] = [[None] * m for _ in range(m)]
         self.nohit: list[list[int | None]] = [[None] * m for _ in range(m)]
         self.strings_at: list[list[int]] = []
-        for x, (ox, bx) in enumerate(zip(occ, occ_bits)):
+        keys = [frozenset(d) for d in occ]  # one key set per string
+        for x, (ox, bx, kx) in enumerate(zip(occ, occ_bits, keys)):
             n = len(dataset[x])
             at = [0] * (n + 1)
-            for y, by in enumerate(occ_bits):
+            for y, (by, ky) in enumerate(zip(occ_bits, keys)):
                 if x == y:
                     continue
                 y_bit = 1 << y
                 masks = [0] * (n + 1)  # index 0 unused
                 hit = 0
-                for c in ox.keys() & by.keys():
+                for c in kx & ky:
                     bits = by[c]
                     hit |= bx[c]
                     for p in ox[c]:

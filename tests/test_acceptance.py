@@ -22,6 +22,7 @@ from awci.oracle import (
     brute_force_maximal_closed_sets,
     brute_force_pairs,
     is_closed_set,
+    intervals,
     judge_pair,
     make_pair,
 )
@@ -180,7 +181,7 @@ def test_criterion_5_incremental_test_exactness():
                     expected = []
                     for j in range(i, hi + 1):
                         a = AnchoredInterval(sx.id, i, j)
-                        for k, l in sy.intervals():
+                        for k, l in intervals(sy):
                             b = AnchoredInterval(sy.id, k, l)
                             checked += 1
                             if make_pair(ds, a, b, params) is not None:

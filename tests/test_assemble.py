@@ -11,7 +11,7 @@ from awci.assemble import (
     prune_dominated_vertices,
 )
 from awci.model import AnchoredInterval, AwciPair, ResourceLimitError, SearchParams
-from awci.oracle import brute_force_maximal_closed_sets, is_closed_set
+from awci.oracle import at, brute_force_maximal_closed_sets, char_set, is_closed_set
 from awci.sweep import enumerate_pairs
 from awci.synth import random_instance
 from conftest import WITNESS_CLOSED, make_dataset
@@ -267,13 +267,13 @@ def test_extension_masks_non_hereditary_witness(witness):
 def literal_extension_masks(graph):
     """`extension_masks` by its definition, on frozensets."""
     ds = graph.dataset
-    char_sets = [ds[iv.string_id].char_set(iv.i, iv.j) for iv in graph.vertices]
+    char_sets = [char_set(ds[iv.string_id], iv.i, iv.j) for iv in graph.vertices]
     out = []
     for v, iv in enumerate(graph.vertices):
         s = ds[iv.string_id]
         lo, hi = s.contig_bounds(iv.i)
         out.append(tuple(sum(1 << u for u in graph.adj[v]
-                             if not s.at(p).isdisjoint(char_sets[u]))
+                             if not at(s, p).isdisjoint(char_sets[u]))
                          for p in (iv.i - 1, iv.j + 1) if lo <= p <= hi))
     return out
 

@@ -1,4 +1,6 @@
+import ast
 import io
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +19,7 @@ from awci.ioformats import (
 from awci.model import AnchoredInterval, FormatError, SearchParams, ValidationError
 from awci.oracle import AwciSet, brute_force_pairs, judge_pair
 from awci.sweep import enumerate_pairs
-from awci.synth import random_instance
+from awci.synth import PlantedSpec, generate_planted, random_instance
 from awci.tables import build_pos_tables
 from conftest import make_dataset
 
@@ -36,8 +38,34 @@ def test_ist_roundtrip_demo(demo):
         assert new.id == orig.id
         assert new.contig_breaks == orig.contig_breaks
         for p in range(1, len(orig) + 1):
-            assert {back.alphabet.label(c) for c in new.at(p)} == \
-                {demo.alphabet.label(c) for c in orig.at(p)}
+            assert {back.alphabet.label(c) for c in new.positions[p - 1]} == \
+                {demo.alphabet.label(c) for c in orig.positions[p - 1]}
+
+
+def workload_specs():
+    """The `generate_planted` specs of perfbench's workloads, read from its
+    source: the `dict(...)` each `Workload(...)` entry passes."""
+    tree = ast.parse((Path(__file__).resolve().parent.parent / "perfbench" / "run.py")
+                     .read_text())
+    return [{kw.arg: ast.literal_eval(kw.value) for kw in node.args[1].keywords}
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Workload"]
+
+
+def test_workload_specs_are_read():
+    assert len(workload_specs()) == 3
+
+
+@pytest.mark.parametrize("spec", workload_specs())
+def test_ist_roundtrip_keeps_ids_of_workload_datasets(spec):
+    # parsing interns the written labels in the order the generator did, so
+    # every id, and so every shared-character mask, comes back unchanged
+    for seed in range(3):
+        ds, _ = generate_planted(PlantedSpec(seed=seed, **spec))
+        back = roundtrip(ds)
+        assert back.strings == ds.strings
+        assert back.alphabet._labels == ds.alphabet._labels
+        assert back.shared_masks == ds.shared_masks
 
 
 def test_ist_roundtrip_with_breaks_and_comments():
@@ -217,8 +245,8 @@ def test_homology_threshold_and_order_independence():
                              table.contig_breaks)
     a, b = homology_to_strings(table, 0.0), homology_to_strings(shuffled, 0.0)
     for sa, sb in zip(a, b):
-        assert [{a.alphabet.label(c) for c in sa.at(p)} for p in range(1, len(sa) + 1)] \
-            == [{b.alphabet.label(c) for c in sb.at(p)} for p in range(1, len(sb) + 1)]
+        assert [{a.alphabet.label(c) for c in ps} for ps in sa.positions] \
+            == [{b.alphabet.label(c) for c in ps} for ps in sb.positions]
 
 
 def test_homology_gene_listed_twice_rejected():

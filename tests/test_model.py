@@ -17,6 +17,7 @@ from awci.model import (
     ValidationError,
     build_string,
 )
+from awci.oracle import at, char_set, check_interval, intervals
 from awci.synth import random_instance
 from conftest import labels_of, make_dataset
 
@@ -33,6 +34,33 @@ def test_alphabet_rejects_empty_label():
         Alphabet().intern_sets([["a", ""]])
 
 
+LABELS = st.text(alphabet="abc.", min_size=1, max_size=2)
+
+
+@given(st.lists(st.lists(st.lists(LABELS, min_size=1, max_size=4), max_size=6),
+                min_size=1, max_size=3))
+def test_intern_sets_matches_first_seen_reference(calls):
+    # repeated labels in a position, multi-label positions, and ids that
+    # continue across calls, against the literal first-seen numbering
+    al = Alphabet()
+    ids: dict[str, int] = {}
+    for label_sets in calls:
+        want = []
+        for labels in label_sets:
+            for label in labels:
+                ids.setdefault(label, len(ids))
+            want.append(frozenset(ids[label] for label in labels))
+        assert al.intern_sets(label_sets) == want
+        assert al._labels == list(ids)
+        assert all(al.label(c) == label for label, c in ids.items())
+
+
+@given(st.lists(LABELS, max_size=3), st.lists(LABELS, max_size=3))
+def test_intern_sets_refuses_empty_label_anywhere(before, after):
+    with pytest.raises(FormatError, match="empty character label"):
+        Alphabet().intern_sets([["a"], before + [""] + after])
+
+
 def test_demo_string_counts(demo):
     s1 = demo["S1"]
     assert len(s1) == 12
@@ -43,7 +71,7 @@ def test_demo_string_counts(demo):
 def test_single_position_string():
     al = Alphabet()
     s = build_string(al, "S", [["a"]])
-    assert len(s) == 1 and s.at(1) == frozenset({0})
+    assert len(s) == 1 and at(s, 1) == frozenset({0})
 
 
 def test_empty_position_set_rejected():
@@ -70,33 +98,33 @@ def test_contig_break_out_of_range():
 
 
 def test_char_set_demo(demo):
-    assert labels_of(demo, demo["S1"].char_set(1, 2)) == {"g", "b", "p"}
-    assert labels_of(demo, demo["S3"].char_set(1, 8)) == \
+    assert labels_of(demo, char_set(demo["S1"], 1, 2)) == {"g", "b", "p"}
+    assert labels_of(demo, char_set(demo["S3"], 1, 8)) == \
         {"d", "g", "b", "a", "p", "s", "n", "f", "m", "w", "e"}
 
 
 def test_char_set_singleton():
     al = Alphabet()
     s = build_string(al, "S", [["a"]])
-    assert s.char_set(1, 1) == al.intern_sets([["a"]])[0]
+    assert char_set(s, 1, 1) == al.intern_sets([["a"]])[0]
 
 
 def test_char_set_range_errors(demo):
     s = demo["S1"]
     with pytest.raises(RangeError):
-        s.char_set(3, 2)
+        char_set(s, 3, 2)
     with pytest.raises(RangeError):
-        s.char_set(1, 13)
+        char_set(s, 1, 13)
     with pytest.raises(RangeError):
-        s.at(0)
+        at(s, 0)
 
 
 def test_char_set_monotone(demo):
     s = demo["S2"]
     for i in range(1, len(s) + 1):
         for j in range(i, len(s) + 1):
-            inner = s.char_set(i, j)
-            assert inner <= s.char_set(max(1, i - 1), min(len(s), j + 1))
+            inner = char_set(s, i, j)
+            assert inner <= char_set(s, max(1, i - 1), min(len(s), j + 1))
 
 
 def test_contig_bounds_and_intervals():
@@ -107,10 +135,10 @@ def test_contig_bounds_and_intervals():
     for p in (0, -1, 6):
         with pytest.raises(RangeError):
             s.contig_bounds(p)
-    ds.check_interval(AnchoredInterval("S", 1, 2))
+    check_interval(ds, AnchoredInterval("S", 1, 2))
     with pytest.raises(ValidationError, match="straddles"):
-        ds.check_interval(AnchoredInterval("S", 2, 3))
-    ivs = list(s.intervals())
+        check_interval(ds, AnchoredInterval("S", 2, 3))
+    ivs = list(intervals(s))
     assert (2, 3) not in ivs and (1, 2) in ivs and (3, 5) in ivs
     # 3 intervals in the first contig, 6 in the second
     assert len(ivs) == 3 + 6
@@ -149,12 +177,12 @@ def test_pairs_and_intervals_are_tuples():
 def test_dataset_lookup_and_checks(demo):
     assert demo.index_of("S2") == 1
     assert demo["S2"] is demo[1]
-    demo.check_interval(AnchoredInterval("S1", 1, 12))
+    check_interval(demo, AnchoredInterval("S1", 1, 12))
     with pytest.raises(RangeError):
-        demo.check_interval(AnchoredInterval("S1", 1, 13))
+        check_interval(demo, AnchoredInterval("S1", 1, 13))
     ds = make_dataset(("S", [["a"], ["b"]], [1]), ("T", [["a"]]))
     with pytest.raises(ValidationError):
-        ds.check_interval(AnchoredInterval("S", 1, 2))
+        check_interval(ds, AnchoredInterval("S", 1, 2))
 
 
 def test_dataset_duplicate_ids():
@@ -179,7 +207,7 @@ def test_build_string_roundtrips_sets(label_sets):
     s = build_string(al, "S", label_sets)
     assert len(s) == len(label_sets)
     for p, labels in enumerate(label_sets, start=1):
-        assert {al.label(c) for c in s.at(p)} == set(labels)
+        assert {al.label(c) for c in at(s, p)} == set(labels)
 
 
 def test_shared_masks_match_frozensets():
@@ -189,15 +217,15 @@ def test_shared_masks_match_frozensets():
     for seed in range(200):
         ds = random_instance(seed)
         masks = ds.shared_masks
-        intervals = []
+        per_string = []
         for x, s in enumerate(ds):
-            others = frozenset().union(*(t.char_set(1, len(t)) for t in ds if t is not s))
+            others = frozenset().union(*(char_set(t, 1, len(t)) for t in ds if t is not s))
             assert len(masks[x]) == len(s) + 1 and masks[x][0] == 0
             for p in range(1, len(s) + 1):
-                assert (masks[x][p] == 0) == s.at(p).isdisjoint(others)
-            intervals.append([(s.char_set(i, j), reduce(or_, masks[x][i:j + 1]))
-                              for i, j in s.intervals()])
-        for ivs_x, ivs_y in combinations(intervals, 2):
+                assert (masks[x][p] == 0) == at(s, p).isdisjoint(others)
+            per_string.append([(char_set(s, i, j), reduce(or_, masks[x][i:j + 1]))
+                               for i, j in intervals(s)])
+        for ivs_x, ivs_y in combinations(per_string, 2):
             assert all((mask_a & mask_b).bit_count() == len(set_a & set_b)
                        for set_a, mask_a in ivs_x for set_b, mask_b in ivs_y), seed
 

@@ -9,6 +9,7 @@ from awci.model import AnchoredInterval, ResourceLimitError, SearchParams, Unsup
 from awci.oracle import (
     brute_force_maximal_closed_sets,
     brute_force_pairs,
+    intervals,
     is_closed_set,
     judge_pair,
     make_pair,
@@ -47,8 +48,8 @@ def test_judge_pair_symmetry():
         ds = random_instance(seed, max_m=3, max_n=6)
         strings = list(ds)
         for a, b in combinations(strings, 2):
-            for (i, j) in a.intervals():
-                for (k, l) in b.intervals():
+            for (i, j) in intervals(a):
+                for (k, l) in intervals(b):
                     va = judge_pair(ds, AnchoredInterval(a.id, i, j),
                                     AnchoredInterval(b.id, k, l), 1)
                     vb = judge_pair(ds, AnchoredInterval(b.id, k, l),

@@ -1,7 +1,7 @@
 import pytest
 
 from awci.model import SearchParams
-from awci.oracle import brute_force_pairs
+from awci.oracle import at, brute_force_pairs, char_set
 from awci.ridge import build_all_ridge_t, filter_position
 from awci.sweep import enumerate_pairs, refine_bounds
 from awci.synth import random_instance
@@ -68,10 +68,37 @@ def test_width_within_structural_bound():
                     assert rt[x][y].width <= width_bound(ds[y])
 
 
+def literal_neighbourhood(sx, sy, p, delta):
+    """The widest span [k, l] of S_y around p, inside p's contig, with at
+    most delta positions on each side of p sharing nothing with S_x; and
+    the first position of p's ridge."""
+    shared = char_set(sx, 1, len(sx))
+
+    def trivial(q):
+        return not at(sy, q) & shared
+
+    lo, hi = sy.contig_bounds(p)
+    k, cost = p, 0
+    while k > lo and cost + trivial(k - 1) <= delta:
+        k -= 1
+        cost += trivial(k)
+    l, cost = p, 0
+    while l < hi and cost + trivial(l + 1) <= delta:
+        l += 1
+        cost += trivial(l)
+    first = p
+    while first > lo and not trivial(first - 1):
+        first -= 1
+    return k, l, first
+
+
+def literal_reach(sx, sy, k, l):
+    """The positions of S_x hit from [k, l]_y."""
+    return {i for i in range(1, len(sx) + 1)
+            if any(at(sx, i) & at(sy, q) for q in range(k, l + 1))}
+
+
 def test_reach_masks_match_literal_neighbourhoods():
-    # the neighbourhood of a hit position p of S_y is the widest span around
-    # p, inside p's contig, with at most delta positions on each side of p
-    # sharing nothing with S_x
     for seed in range(40):
         ds = random_instance(seed, break_prob=0.3)
         t = build_pos_tables(ds)
@@ -82,30 +109,51 @@ def test_reach_masks_match_literal_neighbourhoods():
                     if x == y:
                         continue
                     sx, sy = ds[x], ds[y]
-                    shared = sx.char_set(1, len(sx))
-
-                    def trivial(q):
-                        return not sy.at(q) & shared
-
+                    shared = char_set(sx, 1, len(sx))
                     for p in range(1, len(sy) + 1):
-                        if trivial(p):
+                        if not at(sy, p) & shared:
                             continue
-                        lo, hi = sy.contig_bounds(p)
-                        k, cost = p, 0
-                        while k > lo and cost + trivial(k - 1) <= delta:
-                            k -= 1
-                            cost += trivial(k)
-                        l, cost = p, 0
-                        while l < hi and cost + trivial(l + 1) <= delta:
-                            l += 1
-                            cost += trivial(l)
-                        first = p
-                        while first > lo and not trivial(first - 1):
-                            first -= 1
-                        want = bits(*(i for i in range(1, len(sx) + 1)
-                                      if any(sx.at(i) & sy.at(q) for q in range(k, l + 1))))
+                        k, l, first = literal_neighbourhood(sx, sy, p, delta)
+                        want = bits(*literal_reach(sx, sy, k, l))
                         assert rt[x][y].reach(p) == want, (seed, delta, x, y, p)
                         assert rt[x][y].spans[first] == l - k + 1
+
+
+def test_filter_position_matches_literal_end():
+    # the bound's value, not only its soundness: per anchor (a position of
+    # S_y hitting S_x[i]), the last position reached from its neighbourhood
+    # before the (delta + 1)-th unreached one, from i inside i's contig; the
+    # maximum over the anchors, or -1 without one
+    checked = 0
+    for seed in range(60):
+        ds = random_instance(seed, break_prob=0.3)
+        t = build_pos_tables(ds)
+        for delta in (0, 1, 2):
+            rt = build_all_ridge_t(t, delta)
+            params = SearchParams(delta=delta)
+            for x, sx in enumerate(ds):
+                for y, sy in enumerate(ds):
+                    if x == y:
+                        continue
+                    for i in range(1, len(sx) + 1):
+                        want = -1
+                        for p in range(1, len(sy) + 1):
+                            if not at(sx, i) & at(sy, p):
+                                continue
+                            k, l, _ = literal_neighbourhood(sx, sy, p, delta)
+                            reach = literal_reach(sx, sy, k, l)
+                            misses = 0
+                            for q in range(i, sx.contig_bounds(i)[1] + 1):
+                                if q in reach:
+                                    want = max(want, q)
+                                else:
+                                    misses += 1
+                                    if misses > delta:
+                                        break
+                        assert filter_position(t, rt, x, y, i, params) == want, \
+                            (seed, delta, x, y, i)
+                        checked += want >= 0
+    assert checked > 1000
 
 
 def test_bound_covers_every_oracle_pair():

@@ -11,7 +11,7 @@ from awci.model import (
     SearchParams,
     ValidationError,
 )
-from awci.oracle import brute_force_pairs, make_pair
+from awci.oracle import at, brute_force_pairs, char_set, intervals, make_pair
 from awci.ridge import build_all_ridge_t, filter_position
 from awci.sweep import (
     _trans_walk,
@@ -130,9 +130,9 @@ def test_trans_intervals_past_word_boundary():
                 a = AnchoredInterval(ds[x].id, i, j)
                 # make_pair needs both ends of [k, l] to meet the common set,
                 # which lies in the character set of [i, j]
-                chars = ds[x].char_set(i, j)
-                for (k, l) in sy.intervals():
-                    if sy.at(k).isdisjoint(chars) or sy.at(l).isdisjoint(chars):
+                chars = char_set(ds[x], i, j)
+                for (k, l) in intervals(sy):
+                    if at(sy, k).isdisjoint(chars) or at(sy, l).isdisjoint(chars):
                         continue
                     pair = make_pair(ds, a, AnchoredInterval(sy.id, k, l), params)
                     if pair is None:
@@ -189,11 +189,11 @@ def test_trans_intervals_range_matches_oracle_per_j():
                             assert got == want, (seed, params, x, i, y)
                             cases["results"] += len(got)
                             cases["j < jend"] += sum(1 for r in got if r[0] < jend)
-                            at = {r[0] for r in want}
+                            wanted_ends = {r[0] for r in want}
                             for j in range(jmin, jend + 1):
                                 first = next(_trans_walk(t, x, i, j, j, y, params),
                                              None)
-                                assert (first is not None) == (j in at), \
+                                assert (first is not None) == (j in wanted_ends), \
                                     (seed, params, x, i, j, y)
                                 cases["existence checked"] += 1
     assert min(cases.values()) > 100, cases

@@ -3,7 +3,7 @@ from itertools import combinations, product
 import pytest
 
 from awci.model import AnchoredInterval, AwciError
-from awci.oracle import judge_pair
+from awci.oracle import at, char_set, intervals, judge_pair
 from awci.synth import random_instance
 from awci.tables import build_pos_tables, window
 from conftest import make_dataset
@@ -30,7 +30,7 @@ def test_pos_rows_sorted_and_correct(demo, demo_tables):
             for i in range(1, len(sx) + 1):
                 row = demo_tables.pos[x][y][i]
                 assert row == sorted(set(row))
-                expect = [k for k in range(1, len(sy) + 1) if sx.at(i) & sy.at(k)]
+                expect = [k for k in range(1, len(sy) + 1) if at(sx, i) & at(sy, k)]
                 assert row == expect
 
 
@@ -48,7 +48,7 @@ def test_pos_duality():
                 sx, sy = ds[x], ds[y]
                 assert len(pos[x][y]) == len(t.hitmask[x][y]) == len(sx) + 1
                 for i in range(1, len(sx) + 1):
-                    expect = [k for k in range(1, len(sy) + 1) if sx.at(i) & sy.at(k)]
+                    expect = [k for k in range(1, len(sy) + 1) if at(sx, i) & at(sy, k)]
                     assert pos[x][y][i] == expect
                     for k in pos[x][y][i]:
                         assert i in pos[y][x][k]
@@ -68,7 +68,7 @@ def test_strings_at_matches_literal_scan():
             for i in range(1, len(sx) + 1):
                 expect = 0
                 for y in range(m):
-                    if y != x and any(sx.at(i) & ds[y].at(k)
+                    if y != x and any(at(sx, i) & at(ds[y], k)
                                       for k in range(1, len(ds[y]) + 1)):
                         expect |= 1 << y
                 assert t.strings_at[x][i] == expect
@@ -91,18 +91,18 @@ def test_tables_match_literal_scan_with_private_characters():
     for x in range(m):
         sx = ds[x]
         for i in range(1, len(sx) + 1):
-            at = 0
+            strings = 0
             for y in range(m):
                 if y == x:
                     continue
                 sy = ds[y]
-                expect = sum(1 << k for k in range(1, len(sy) + 1) if sx.at(i) & sy.at(k))
+                expect = sum(1 << k for k in range(1, len(sy) + 1) if at(sx, i) & at(sy, k))
                 assert t.hitmask[x][y][i] == expect
-                whole = sy.char_set(1, len(sy))
-                assert (t.nohit[x][y] >> i & 1) == (not sx.at(i) & whole)
+                whole = char_set(sy, 1, len(sy))
+                assert (t.nohit[x][y] >> i & 1) == (not at(sx, i) & whole)
                 if expect:
-                    at |= 1 << y
-            assert t.strings_at[x][i] == at
+                    strings |= 1 << y
+            assert t.strings_at[x][i] == strings
             if i in private_only[x]:
                 assert all(t.hitmask[x][y][i] == 0 for y in range(m) if y != x)
                 assert t.strings_at[x][i] == 0
@@ -134,12 +134,12 @@ def test_nohit_matches_literal_scan():
             for y in range(len(ds)):
                 if x == y:
                     continue
-                shared = ds[y].char_set(1, len(ds[y]))
+                shared = char_set(ds[y], 1, len(ds[y]))
                 nohit = t.nohit[x][y]
                 # no bit outside positions 1..n
                 assert nohit & ~window(1, len(sx)) == 0
                 for p in range(1, len(sx) + 1):
-                    assert (nohit >> p & 1) == (not sx.at(p) & shared)
+                    assert (nohit >> p & 1) == (not at(sx, p) & shared)
 
 
 def test_awci_pairs_live_on_one_ridge():
@@ -151,8 +151,8 @@ def test_awci_pairs_live_on_one_ridge():
         for delta in (0, 1, 2):
             for xi, yi in combinations(range(len(ds)), 2):
                 sx, sy = ds[xi], ds[yi]
-                for (i, j) in sx.intervals():
-                    for (k, l) in sy.intervals():
+                for (i, j) in intervals(sx):
+                    for (k, l) in intervals(sy):
                         v = judge_pair(ds, AnchoredInterval(sx.id, i, j),
                                        AnchoredInterval(sy.id, k, l), delta)
                         if v.is_awci:
