@@ -128,7 +128,7 @@ def _search_input(args) -> tuple[Dataset, SearchParams]:
 
 
 def cmd_ingest(args) -> int:
-    specs = []
+    specs: dict[str, str] = {}  # genome -> gene-order file
     for spec in args.genes:
         genome, _, path = spec.partition("=")
         if not genome or not path:
@@ -137,10 +137,13 @@ def cmd_ingest(args) -> int:
             # parse_homology skips a hit line starting with such a name
             raise ValidationError(f"genome name {genome!r} begins with "
                                   f"{genome[0]!r}, which marks a comment line")
-        specs.append((genome, path))
+        if genome in specs:
+            raise UsageError(f"--genes names genome {genome!r} twice: "
+                             f"{specs[genome]} and {path}")
+        specs[genome] = path
     gene_orders = {}
     contig_breaks = {}
-    for genome, path in specs:
+    for genome, path in specs.items():
         with open(path) as fh:
             gene_orders[genome], contig_breaks[genome] = parse_gene_order(fh, path)
     with open(args.homology) as fh:

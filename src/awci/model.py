@@ -72,10 +72,12 @@ class IndeterminateString:
     output formats use as a delimiter.
 
     `contig_breaks` holds positions p meaning a boundary lies between p and p+1.
-    Intervals never straddle a boundary.
+    Intervals never straddle a boundary. `contig_of[p]` is the (first, last)
+    position of p's contig, one tuple per contig (1-based p; index 0 holds an
+    unused None); `contig_bounds` reads it after a range check.
     """
 
-    __slots__ = ("id", "positions", "contig_breaks", "_contig_of")
+    __slots__ = ("id", "positions", "contig_breaks", "contig_of")
 
     def __init__(self, id: str, positions: Sequence[frozenset[int]],
                  contig_breaks: Iterable[int] = ()) -> None:
@@ -100,11 +102,9 @@ class IndeterminateString:
         self.id = id
         self.positions = positions
         self.contig_breaks = breaks
-        # per position (index p - 1) a reference to its contig's one shared
-        # (first, last) tuple
         starts = [1] + [b + 1 for b in sorted(breaks)]
         ends = [s - 1 for s in starts[1:]] + [n]
-        self._contig_of = tuple(chain.from_iterable(
+        self.contig_of = (None, *chain.from_iterable(
             repeat(c, c[1] - c[0] + 1) for c in zip(starts, ends)))
 
     def __len__(self) -> int:
@@ -114,7 +114,7 @@ class IndeterminateString:
         """(first, last) position of the contig containing position p."""
         if not 1 <= p <= len(self.positions):
             raise RangeError(f"string {self.id!r}: position {p} out of range")
-        return self._contig_of[p - 1]
+        return self.contig_of[p]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IndeterminateString):

@@ -32,11 +32,11 @@ from .tables import PairTables, set_bits, window
 class RidgeT:
     """Reach masks on S_x of the ridges of S_y, for one ordered pair (x, y)."""
 
-    __slots__ = ("sy", "nohit", "hits", "delta", "masks", "spans")
+    __slots__ = ("contig_of", "nohit", "hits", "delta", "masks", "spans")
 
     def __init__(self, sy: IndeterminateString, nohit: int, hits: list[int],
                  delta: int) -> None:
-        self.sy = sy            # the trans string S_y
+        self.contig_of = sy.contig_of  # of the trans string S_y
         self.nohit = nohit      # nohit[y][x]: trivial indels of S_y
         self.hits = hits        # hitmask[y][x]
         self.delta = delta
@@ -52,7 +52,7 @@ class RidgeT:
     def reach(self, p: int) -> int:
         """The reach mask of the ridge holding p, a position of S_y hitting S_x,
         built on the ridge's first call; later calls return the cached object."""
-        lo, hi = self.sy.contig_bounds(p)
+        lo, hi = self.contig_of[p]
         # the trivial indels of p's contig before p; the last one sits just
         # before p's ridge
         left = self.nohit & window(lo, p - 1)
@@ -77,7 +77,7 @@ class RidgeT:
 def build_all_ridge_t(tables: PairTables, delta: int) -> list[list[RidgeT | None]]:
     """Empty reach-mask caches for every ordered pair, at budget `delta`."""
     m = len(tables.dataset)
-    return [[RidgeT(tables.dataset[y], tables.nohit[y][x], tables.hitmask[y][x], delta)
+    return [[RidgeT(tables.dataset.strings[y], tables.nohit[y][x], tables.hitmask[y][x], delta)
              if x != y else None for y in range(m)] for x in range(m)]
 
 
@@ -92,7 +92,7 @@ def filter_position(tables: PairTables, ridge_t: list[list[RidgeT | None]],
     mask is the object the previous anchor got: same ridge, same end.
     """
     rt = ridge_t[x][y]
-    w = window(i, tables.dataset[x].contig_bounds(i)[1])
+    w = window(i, tables.dataset.strings[x].contig_of[i][1])
     end = -1
     last = None
     for p in set_bits(tables.hitmask[x][y][i]):

@@ -30,7 +30,7 @@ from .tables import PairTables, build_pos_tables, set_bits, window
 def candidate_right_bounds(tables: PairTables, ridge_t, x: int, i: int,
                            params: SearchParams) -> list[int]:
     """Right-bound candidates J for left bound i: the contig suffix of i."""
-    return list(range(i, tables.dataset[x].contig_bounds(i)[1] + 1))
+    return list(range(i, tables.dataset.strings[x].contig_of[i][1] + 1))
 
 
 def refine_bounds(tables: PairTables, ridge_t, x: int, i: int, live: list[int],
@@ -39,10 +39,10 @@ def refine_bounds(tables: PairTables, ridge_t, x: int, i: int, live: list[int],
 
     A pair ([i, j]_x, [k, l]_y) needs j <= `filter_position(..., x, y, i, ...)`,
     and [i, j] needs intervals of quorum - 1 strings, all among `live`, the
-    strings hitting i that may still pair; with fewer of them J is empty. J
-    is empty too, without bounding the remaining strings, once more than
-    len(live) - (quorum - 1) strings end before i + min_size - 1: the cap
-    would then leave no j long enough.
+    strings hitting i that may still pair (at quorum 2 only those after x);
+    with fewer of them J is empty. J is empty too, without bounding the other
+    strings, once more than len(live) - (quorum - 1) strings end before
+    i + min_size - 1: the cap would then leave no j long enough.
     """
     short_max = len(live) - (params.quorum - 1)
     if short_max < 0:
@@ -110,7 +110,7 @@ def _trans_walk(tables: PairTables, x: int, i: int, jmin: int, jend: int,
     d_j >= d and the zeros of `u` only grow with j, the right bounds of a
     candidate stop at the (delta - d + 1)-th zero of `u`.
     """
-    sy = tables.dataset[y]
+    contig_of = tables.dataset.strings[y].contig_of
     masks = tables.hitmask[y][x]
     delta = params.delta
     min_size = params.min_size
@@ -119,7 +119,7 @@ def _trans_walk(tables: PairTables, x: int, i: int, jmin: int, jend: int,
 
     p_prev = 0
     for p in collect_anchors(tables, x, y, i):
-        lo, hi = sy.contig_bounds(p)
+        lo, hi = contig_of[p]
         k_min = max(p_prev + 1, lo)
         p_prev = p
         # base state over [k, p-1], grown while k descends
@@ -197,6 +197,12 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
       * a unit with fewer than quorum - 1 other strings hitting i is never
         run: `tables.strings_at[x][i]` holds those strings as one int, so the
         unit list keeps only the (x, i) with enough bits set;
+      * later-string admission: only strings after x are reported, so a unit
+        is listed only if one of them hits i, and stops before the ridge
+        bound if the lookahead below leaves none of them live;
+      * at quorum 2 one string after x is the quorum, so the unit drops the
+        strings before x at once: no lookahead, ridge bound or coverage test
+        for them, and J stops at the largest end over the later strings;
       * min-size lookahead: with jt = i + min_size - 1, a unit whose contig
         ends before jt stops at once, and a string S_y hitting i stays live
         only if [i, jt] has at most delta positions hitting nothing in S_y
@@ -226,8 +232,8 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
         at or after k, and i is anchored by construction. A right bound j at
         which no string after x has an interval is skipped, since only those
         strings are reported;
-      * the strings before x count towards the quorum but are never
-        reported, so at a right bound j that still lacks coverage, each
+      * at quorum > 2 the strings before x count towards the quorum but are
+        never reported, so at a right bound j that still lacks coverage, each
         live one hitting j is only tested for an interval of [i, j] (the
         walk over j alone, stopping at the first), and only until the
         quorum is reached. Coverage can come only from live strings hitting
@@ -250,9 +256,8 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
     mask per search, shared by all units and by both sides of every pair;
     pairs and intervals are tuples, so both are built and hashed in C.
 
-    The search runs in one thread. `threads` accepts only 1, and any other
-    value raises ValidationError; the keyword stays only because
-    `perfbench/run.py` passes threads=1, and goes once that call stops.
+    The search runs in one thread; `threads` accepts only 1 (any other value
+    raises ValidationError) and stays only because `perfbench/run.py` passes it.
     """
     if threads != 1:
         raise ValidationError(f"threads={threads}: the search runs in one "
@@ -277,24 +282,24 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
     # (string, i, j) -> the interval and the OR of its shared-character masks
     intervals: dict[tuple[int, int, int], tuple[AnchoredInterval, int]] = {}
     shared_masks = dataset.shared_masks
+    strings = dataset.strings
 
     def interval(s: int, a: int, b: int) -> tuple[AnchoredInterval, int]:
         got = intervals.get((s, a, b))
         if got is None:
-            got = intervals[s, a, b] = (AnchoredInterval(dataset[s].id, a, b),
+            got = intervals[s, a, b] = (AnchoredInterval(strings[s].id, a, b),
                                         reduce(or_, shared_masks[s][a:b + 1]))
         return got
 
     def run_unit(unit: tuple[int, int]) -> Iterator[AwciPair]:
         x, i = unit
-        sx = dataset[x]
         jt = i + params.min_size - 1
-        if jt > sx.contig_bounds(i)[1]:
+        if jt > strings[x].contig_of[i][1]:
             return
         nohit = tables.nohit[x]
         strings_at = tables.strings_at[x]
         w = window(i, jt)
-        hitting = set_bits(strings_at[i])
+        hitting = set_bits(strings_at[i] if quorum > 2 else strings_at[i] & (-1 << x + 1))
         # how many strings hitting i may fail the lookahead, leaving quorum - 1
         spare = len(hitting) - (quorum - 1)
         live = []
@@ -303,6 +308,8 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
                 live.append(y)
             elif (spare := spare - 1) < 0:
                 return
+        if live[-1] < x:  # no live string after x, so nothing to report
+            return
         J = candidate_right_bounds(tables, ridge_t, x, i, params)
         if use_filter:
             J = refine_bounds(tables, ridge_t, x, i, live, J, params)
@@ -317,8 +324,8 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
                 found_at.setdefault(j, []).append((y, k, l, covered, d))
         for j in sorted(found_at):
             entries = found_at[j]
-            coverage = len({y for y, *_ in entries})
-            if coverage < quorum - 1:
+            # at quorum 2 every entry's string, after x, is the whole quorum
+            if quorum > 2 and (coverage := len({y for y, *_ in entries})) < quorum - 1:
                 for y in set_bits(strings_at[j] & live_mask):
                     if y > x or coverage >= quorum - 1:
                         break
@@ -335,7 +342,7 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
                                                j - i + 1 - covered + d, covered, l - k + 1 - d))
 
     # index 0 of strings_at is an unused 0, and quorum >= 2 skips it
-    units = [(x, i) for x in range(m - 1)
-             for i, at in enumerate(tables.strings_at[x]) if at.bit_count() >= quorum - 1]
+    units = [(x, i) for x in range(m - 1) for i, at in enumerate(tables.strings_at[x])
+             if at.bit_count() >= quorum - 1 and at >> x + 1]
     for unit in units:
         yield from run_unit(unit)

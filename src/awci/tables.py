@@ -16,7 +16,7 @@ shared read-only afterwards, plus one per string:
                         can anchor an endpoint i from it in one operation
 
 Contig breaks are not in these tables; readers take them from
-`IndeterminateString.contig_bounds`.
+`IndeterminateString.contig_of`.
 
 Only characters held by two or more strings can make a hit, so only they are
 indexed: a position whose `Dataset.shared_masks` entry is 0 holds none of

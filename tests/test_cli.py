@@ -104,6 +104,26 @@ def test_ingest_rejects_gene_listed_twice(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ingest_rejects_genome_named_twice(tmp_path, capsys):
+    # the second file named E used to replace the first without a word
+    (tmp_path / "a.txt").write_text("g1\n")
+    (tmp_path / "b.txt").write_text("g2\n")
+    (tmp_path / "f.txt").write_text("h1\n")
+    (tmp_path / "hits.tsv").write_text("E\tg1\tF\th1\t1.0\n")
+    out = tmp_path / "out.ist"
+    args = ["ingest", "--homology", str(tmp_path / "hits.tsv"),
+            "--genes", f"E={tmp_path}/a.txt", "--genes", f"E={tmp_path}/b.txt",
+            "--genes", f"F={tmp_path}/f.txt", "--out", str(out)]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert "'E'" in err and f"{tmp_path}/a.txt" in err and f"{tmp_path}/b.txt" in err
+    assert not out.exists()
+    # refused before any file is read: a missing file is not the error
+    (tmp_path / "a.txt").unlink()
+    assert cli.main(args) == 1
+    assert "twice" in capsys.readouterr().err
+
+
 def test_ingest_rejects_gene_id_read_as_comment(tmp_path, capsys):
     (tmp_path / "ga.genes").write_text("g1\n%g2\ng3\n")
     (tmp_path / "gb.genes").write_text("h1\n")

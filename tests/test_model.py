@@ -144,6 +144,23 @@ def test_contig_bounds_and_intervals():
     assert len(ivs) == 3 + 6
 
 
+def test_contig_table_matches_contig_bounds():
+    singles = 0
+    for seed in range(100):
+        for s in random_instance(seed, break_prob=0.4):
+            n = len(s)
+            assert len(s.contig_of) == n + 1 and s.contig_of[0] is None
+            for p in range(1, n + 1):
+                first = 1 + max((b for b in s.contig_breaks if b < p), default=0)
+                last = min((b for b in s.contig_breaks if b >= p), default=n)
+                assert s.contig_of[p] == s.contig_bounds(p) == (first, last)
+                singles += first == last
+            for p in (0, n + 1):
+                with pytest.raises(RangeError):
+                    s.contig_bounds(p)
+    assert singles > 100
+
+
 def test_string_equality_and_hash():
     a = make_dataset(("S", [["a"], ["b"]]))["S"]
     b = make_dataset(("S", [["a"], ["b"]]))["S"]

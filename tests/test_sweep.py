@@ -396,6 +396,54 @@ def test_enumerate_pairs_min_size_lookahead_skips_units(monkeypatch):
         assert expected
 
 
+def test_quorum_2_bounds_only_strings_after_the_reference(monkeypatch):
+    # at quorum 2 a string after x is the whole quorum, so no unit (x, i)
+    # bounds a string y < x, and the outputs stay those of the oracle
+    original = awci.sweep.filter_position
+    calls = []
+
+    def counting(tables, ridge_t, x, y, i, params):
+        calls.append((x, y))
+        return original(tables, ridge_t, x, y, i, params)
+
+    monkeypatch.setattr(awci.sweep, "filter_position", counting)
+    nonempty = 0
+    for seed in range(25):
+        for ds in (random_instance(seed), random_instance(seed, break_prob=0.4)):
+            for delta in (0, 1, 2):
+                for min_size in (1, 2, 3, 4):
+                    params = SearchParams(delta=delta, quorum=2, min_size=min_size)
+                    expected = grouped_oracle(ds, params)
+                    assert list(enumerate_pairs(ds, params)) == expected, (seed, params)
+                    nonempty += bool(expected)
+    assert calls and all(y > x for x, y in calls)
+    assert nonempty > 200
+
+
+def test_unit_without_live_strings_after_the_reference_is_not_bounded(monkeypatch):
+    # quorum 3, delta 0, min_size 3: V hits U:1 (a) but not U:2-3, so the
+    # lookahead drops V from unit U:1, leaving S and T, both before U. They
+    # meet the quorum but are never reported, so U:1 ends before its bounds.
+    # U:2-3 are hit by no string after U and are not listed at all.
+    ds = make_dataset(("S", [["a"], ["b"], ["c"]]),
+                      ("T", [["a"], ["b"], ["c"]]),
+                      ("U", [["a"], ["b"], ["c"]]),
+                      ("V", [["a"], ["y"], ["z"]]))
+    original = awci.sweep.candidate_right_bounds
+    units = []
+
+    def counting(tables, ridge_t, x, i, *args):
+        units.append((x, i))
+        return original(tables, ridge_t, x, i, *args)
+
+    monkeypatch.setattr(awci.sweep, "candidate_right_bounds", counting)
+    params = SearchParams(delta=0, quorum=3, min_size=3)
+    expected = grouped_oracle(ds, params)
+    assert list(enumerate_pairs(ds, params)) == expected != []
+    # S:2-3 and T:2-3 end before i + min_size - 1
+    assert units == [(0, 1), (1, 1)]
+
+
 def test_enumerate_pairs_grouped_matches_oracle_with_breaks_and_min_size():
     # contig breaks and min_size >= 3 make the min-size lookahead end units
     # at contig ends and drop strings with too many trivial positions
