@@ -17,6 +17,8 @@ from typing import Callable, Iterable, Sequence
 from .model import AnchoredInterval, AwciPair, AwciSet, Dataset, ResourceLimitError, SearchParams
 from .oracle import is_closed_set  # uncalled; perfbench's install_wrappers still wraps it
 
+CLIQUE_GUARD = 2_000_000  # Bron-Kerbosch steps before ResourceLimitError
+
 
 class AwciGraph:
     """Deduplicated interval vertices plus pair edges, string-partitioned:
@@ -186,8 +188,7 @@ def closed_core(masks: list[tuple[int, ...]],
         core = kept
 
 
-def maximal_closed_sets(graph: AwciGraph, params: SearchParams, *,
-                        clique_guard: int = 2_000_000) -> list[AwciSet]:
+def maximal_closed_sets(graph: AwciGraph, params: SearchParams) -> list[AwciSet]:
     """Enumerate closed interval sets that are maximal among closed sets.
 
     Every closed set is a clique, so it lies in some maximal clique and, by
@@ -198,7 +199,7 @@ def maximal_closed_sets(graph: AwciGraph, params: SearchParams, *,
     dataset = graph.dataset
     masks = extension_masks(graph)
     candidates: set[tuple[int, ...]] = set()
-    for clique in _maximal_cliques(graph, clique_guard):
+    for clique in _maximal_cliques(graph, CLIQUE_GUARD):
         core = closed_core(masks, clique)
         if len(core) >= params.quorum:
             candidates.add(core)

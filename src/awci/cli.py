@@ -12,7 +12,6 @@ from contextlib import contextmanager
 
 from .assemble import assemble
 from .ioformats import (
-    HomologyTable,
     homology_to_strings,
     parse_gene_order,
     parse_homology,
@@ -141,15 +140,13 @@ def cmd_ingest(args) -> int:
             raise UsageError(f"--genes names genome {genome!r} twice: "
                              f"{specs[genome]} and {path}")
         specs[genome] = path
-    gene_orders = {}
-    contig_breaks = {}
+    genomes = {}
     for genome, path in specs.items():
         with open(path) as fh:
-            gene_orders[genome], contig_breaks[genome] = parse_gene_order(fh, path)
+            genomes[genome] = parse_gene_order(fh, path)
     with open(args.homology) as fh:
         records = parse_homology(fh, args.homology)
-    table = HomologyTable(records, gene_orders, contig_breaks)
-    dataset = homology_to_strings(table, args.threshold)
+    dataset = homology_to_strings(records, genomes, args.threshold)
     # encode in full first, so an unencodable label leaves no partial file
     buf = io.StringIO()
     write_ist(dataset, buf)
@@ -191,11 +188,10 @@ def cmd_gen(args) -> int:
 
 def _show(item) -> str:
     """A result's fields as name=value, intervals written as S:i-j."""
-    fields = item._asdict() if isinstance(item, tuple) else vars(item)
     # an interval is a tuple subclass; only a plain tuple (a set's members)
     # is joined
     return " ".join(f"{k}={' '.join(map(str, v)) if type(v) is tuple else v}"
-                    for k, v in fields.items())
+                    for k, v in item._asdict().items())
 
 
 def first_difference(got: list, expected: list, what: str) -> list[str]:

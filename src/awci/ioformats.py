@@ -1,4 +1,4 @@
-"""File formats: indeterminate-string text files, homology tables, result writers.
+"""File formats: indeterminate-string text files, homology input, result writers.
 
 IST format (UTF-8 text):
   * ``>ID`` starts a new string; the ID holds no whitespace
@@ -11,17 +11,17 @@ Sets output: one record per line after the ``#awci-sets v1`` header: the
 members as ``ID:i-j`` separated by spaces, then tab-separated ``closed=1``,
 ``delta=D`` and ``quorum=Q``. ``closed`` is always 1, since only closed sets
 are reported; `parse_sets` refuses any other value.
-Homology input: tab-separated ``genomeA geneA genomeB geneB score`` plus
-per-genome gene-order files (one gene id per line, ``#`` for contig breaks,
-``%`` followed by whitespace or the end of the line for comments; any other
-line starting with ``%`` is refused, so no gene id is read as a comment, and
-so is a ``#`` without a gene on each side, so no gene named ``#`` vanishes).
+Homology input: tab-separated ``genomeA geneA genomeB geneB score`` records
+plus per-genome gene-order files (one gene id per line, ``#`` for contig
+breaks, ``%`` followed by whitespace or the end of the line for comments; any
+other line starting with ``%`` is refused, so no gene id is read as a comment,
+and so is a ``#`` without a gene on each side, so no gene named ``#``
+vanishes), which `homology_to_strings` joins into one dataset.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 from .model import (
     Alphabet,
@@ -128,40 +128,13 @@ def write_ist(dataset: Dataset, fh: IO[str]) -> None:
                 fh.write("#\n")
 
 
-@dataclass(frozen=True)
-class HomologyRecord:
+class HomologyRecord(NamedTuple):
+    """One homology hit; records sort by their fields in this order."""
     genome_a: str
     gene_a: str
     genome_b: str
     gene_b: str
     score: float
-
-
-@dataclass
-class HomologyTable:
-    """Pairwise similarity records over per-genome ordered gene lists."""
-    records: list[HomologyRecord]
-    gene_orders: dict[str, list[str]]          # genome -> ordered gene ids
-    contig_breaks: dict[str, list[int]]        # genome -> break positions
-
-    def validate(self) -> None:
-        gene_pos: dict[str, dict[str, int]] = {}
-        for genome, order in self.gene_orders.items():
-            first = gene_pos[genome] = {}
-            for idx, gene in enumerate(order, start=1):
-                if gene in first:
-                    raise ValidationError(f"genome {genome!r}: gene {gene!r} listed "
-                                          f"twice, at positions {first[gene]} and {idx}")
-                first[gene] = idx
-        for rec in self.records:
-            if not math.isfinite(rec.score) or rec.score < 0:
-                raise ValidationError(f"bad score {rec.score} for "
-                                      f"{rec.gene_a}/{rec.gene_b}")
-            for genome, gene in ((rec.genome_a, rec.gene_a), (rec.genome_b, rec.gene_b)):
-                if genome not in gene_pos:
-                    raise ValidationError(f"unknown genome {genome!r}")
-                if gene not in gene_pos[genome]:
-                    raise ValidationError(f"gene {gene!r} not in genome {genome!r}")
 
 
 def parse_gene_order(fh: IO[str], filename: str = "<genes>") -> tuple[list[str], list[int]]:
@@ -214,8 +187,16 @@ def parse_homology(fh: IO[str], filename: str = "<homology>") -> list[HomologyRe
     return records
 
 
-def homology_to_strings(table: HomologyTable, threshold: float) -> Dataset:
-    """Transform a homology table into indeterminate strings.
+def homology_to_strings(records: Sequence[HomologyRecord],
+                        genomes: Mapping[str, tuple[Sequence[str], Sequence[int]]],
+                        threshold: float) -> Dataset:
+    """Transform homology records over gene orders into indeterminate strings.
+
+    `genomes` maps each genome to the (genes, contig breaks) pair that
+    `parse_gene_order` returns. A non-finite threshold, a gene listed twice in
+    one genome, and any record (whatever its score) with a score that is not
+    finite and >= 0 or with an unknown genome or gene raise `ValidationError`
+    before any character is minted.
 
     Every record at or above the threshold mints one fresh character shared by
     exactly the two gene positions it relates (homology stays non-transitive);
@@ -226,31 +207,33 @@ def homology_to_strings(table: HomologyTable, threshold: float) -> Dataset:
     (genome ``E``, gene ``coli.x`` against genome ``E.coli``, gene ``x``) or
     hold whitespace, and these cannot, nor meet the ``h{n}`` record labels.
     """
-    table.validate()
+    if not math.isfinite(threshold):
+        raise ValidationError(f"threshold must be finite, got {threshold}")
+    names = sorted(genomes)
+    position_of: dict[str, dict[str, int]] = {}  # genome -> gene -> position
+    for genome in names:
+        first = position_of[genome] = {}
+        for k, gene in enumerate(genomes[genome][0], start=1):
+            if gene in first:
+                raise ValidationError(f"genome {genome!r}: gene {gene!r} listed "
+                                      f"twice, at positions {first[gene]} and {k}")
+            first[gene] = k
+    for rec in records:
+        if not math.isfinite(rec.score) or rec.score < 0:
+            raise ValidationError(f"bad score {rec.score} for {rec.gene_a}/{rec.gene_b}")
+        for genome, gene in ((rec.genome_a, rec.gene_a), (rec.genome_b, rec.gene_b)):
+            if genome not in position_of:
+                raise ValidationError(f"unknown genome {genome!r}")
+            if gene not in position_of[genome]:
+                raise ValidationError(f"gene {gene!r} not in genome {genome!r}")
+    sets = {genome: [{f"p{rank}.{k}"} for k in range(1, len(position_of[genome]) + 1)]
+            for rank, genome in enumerate(names)}
+    for n, rec in enumerate(sorted(r for r in records if r.score >= threshold)):
+        for genome, gene in ((rec.genome_a, rec.gene_a), (rec.genome_b, rec.gene_b)):
+            sets[genome][position_of[genome][gene] - 1].add(f"h{n}")
     alphabet = Alphabet()
-    position_of: dict[tuple[str, str], int] = {}
-    for genome, order in table.gene_orders.items():
-        for idx, gene in enumerate(order, start=1):
-            position_of[(genome, gene)] = idx
-
-    sets: dict[str, list[set[str]]] = {
-        genome: [{f"p{rank}.{k}"} for k in range(1, len(table.gene_orders[genome]) + 1)]
-        for rank, genome in enumerate(sorted(table.gene_orders))
-    }
-    accepted = sorted(
-        (r for r in table.records if r.score >= threshold),
-        key=lambda r: (r.genome_a, r.gene_a, r.genome_b, r.gene_b, r.score))
-    for n, rec in enumerate(accepted):
-        char = f"h{n}"
-        sets[rec.genome_a][position_of[(rec.genome_a, rec.gene_a)] - 1].add(char)
-        sets[rec.genome_b][position_of[(rec.genome_b, rec.gene_b)] - 1].add(char)
-
-    strings = [
-        build_string(alphabet, genome, [sorted(s) for s in sets[genome]],
-                     table.contig_breaks.get(genome, ()))
-        for genome in sorted(table.gene_orders)
-    ]
-    return Dataset(strings, alphabet)
+    return Dataset([build_string(alphabet, genome, map(sorted, sets[genome]),
+                                 genomes[genome][1]) for genome in names], alphabet)
 
 
 def write_pairs(pairs: Iterable[AwciPair], fh: IO[str]) -> int:

@@ -164,9 +164,8 @@ class AwciPair(NamedTuple):
     size_right: int  # non-indel positions in `right`
 
 
-@dataclass(frozen=True)
-class AwciSet:
-    """A closed set of pairwise-AWCI intervals, one per string."""
+class AwciSet(NamedTuple):
+    """A closed set of pairwise-AWCI intervals, one per string (a tuple)."""
     members: tuple[AnchoredInterval, ...]
 
 
@@ -249,6 +248,9 @@ class SearchParams:
     min_size: int = 0
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if type(value) is not int:  # bool too: True is not a count
+                raise ValidationError(f"{name} must be an int, got {value!r}")
         if self.delta < 0:
             raise ValidationError("delta must be >= 0")
         if self.quorum < 2:

@@ -222,7 +222,7 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
         len(live) - (quorum - 1) strings end before jt: fewer than quorum - 1
         ends then reach jt, so the cap would leave J shorter than `min_size`
         anyway; at quorum = m that is the first string ending before jt. A
-        unit whose J is shorter than `min_size` stops before any walk;
+        unit whose J is empty stops before any walk; any other J reaches jt;
       * work per (unit, string), not per right bound: each live string
         after x is walked once, by `enumerate_trans_intervals` over the
         right bounds from max(i, jt) to the end of J, and its results are
@@ -313,7 +313,7 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
         J = candidate_right_bounds(tables, ridge_t, x, i, params)
         if use_filter:
             J = refine_bounds(tables, ridge_t, x, i, live, J, params)
-        if not J or J[-1] - i + 1 < params.min_size:
+        if not J:
             return
         live_mask = sum(1 << y for y in live)
         # results of the reported strings, in string order, grouped by j

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from awci.assemble import (
@@ -15,6 +17,9 @@ from awci.oracle import at, brute_force_maximal_closed_sets, char_set, is_closed
 from awci.sweep import enumerate_pairs
 from awci.synth import random_instance
 from conftest import WITNESS_CLOSED, make_dataset
+
+# the module itself: the package attribute `awci.assemble` is the function
+assemble_module = importlib.import_module("awci.assemble")
 
 
 def demo_graph(demo, params):
@@ -185,11 +190,12 @@ def test_peel_past_two_extendable_members():
         assert assemble(pairs, ds, params, prune=prune) == sets
 
 
-def test_clique_guard(demo):
+def test_clique_guard(demo, monkeypatch):
     params = SearchParams(delta=1, quorum=2, min_size=1)
     g = demo_graph(demo, params)
+    monkeypatch.setattr(assemble_module, "CLIQUE_GUARD", 3)
     with pytest.raises(ResourceLimitError):
-        maximal_closed_sets(g, params, clique_guard=3)
+        maximal_closed_sets(g, params)
 
 
 def test_pipeline_matches_oracle_small():

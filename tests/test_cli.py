@@ -90,6 +90,41 @@ def test_ingest_command(tmp_path, capsys):
                      "--genes", "nonsense"]) == 1
 
 
+def write_ingest_fixture(tmp_path):
+    """Three genomes, two with contig breaks; b4 is in no record, a2-c2
+    scores below 0.5, and the records are out of sorted order."""
+    (tmp_path / "gc.genes").write_text("c1\nc2\n#\nc3\n")
+    (tmp_path / "ga.genes").write_text("% genome a\na1\na2\na3\n#\na4\n")
+    (tmp_path / "gb.genes").write_text("b1\nb2\nb3\nb4\n")
+    (tmp_path / "hits.tsv").write_text(
+        "Gc\tc3\tGa\ta4\t2.5\nGa\ta1\tGb\tb1\t1.0\nGb\tb3\tGc\tc1\t0.9\n"
+        "Ga\ta2\tGc\tc2\t0.2\nGa\ta1\tGc\tc1\t0.7\nGa\ta3\tGb\tb2\t0.5\n")
+    # genomes given out of sorted order
+    return ["ingest", "--homology", str(tmp_path / "hits.tsv"),
+            "--genes", f"Gc={tmp_path}/gc.genes", "--genes", f"Ga={tmp_path}/ga.genes",
+            "--genes", f"Gb={tmp_path}/gb.genes"]
+
+
+def test_ingest_output_is_pinned(tmp_path):
+    out = tmp_path / "out.ist"
+    assert cli.main(write_ingest_fixture(tmp_path)
+                    + ["--threshold", "0.5", "--out", str(out)]) == 0
+    assert out.read_bytes() == (
+        b">Ga\nh0 h1 p0.1\np0.2\nh2 p0.3\n#\nh4 p0.4\n"
+        b">Gb\nh0 p1.1\nh2 p1.2\nh3 p1.3\np1.4\n"
+        b">Gc\nh1 h3 p2.1\np2.2\n#\nh4 p2.3\n")
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_ingest_rejects_non_finite_threshold(tmp_path, capsys, threshold):
+    # a nan threshold used to drop every record and still write the file
+    out = tmp_path / "out.ist"
+    assert cli.main(write_ingest_fixture(tmp_path)
+                    + [f"--threshold={threshold}", "--out", str(out)]) == 2
+    assert "threshold" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ingest_rejects_gene_listed_twice(tmp_path, capsys):
     (tmp_path / "ga.genes").write_text("g1\ng2\ng1\n")
     (tmp_path / "gb.genes").write_text("h1\n")

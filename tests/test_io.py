@@ -6,7 +6,6 @@ import pytest
 
 from awci.ioformats import (
     HomologyRecord,
-    HomologyTable,
     homology_to_strings,
     parse_gene_order,
     parse_homology,
@@ -188,16 +187,18 @@ def test_homology_parse_and_validate():
         parse_homology(io.StringIO("Ga\tg1\tGb\th1\n"))
     with pytest.raises(FormatError):
         parse_homology(io.StringIO("Ga\tg1\tGb\th1\tnope\n"))
-    table = HomologyTable(records, {"Ga": ["g1", "g2"], "Gb": ["h1", "h2"]}, {})
-    table.validate()
-    bad = HomologyTable([HomologyRecord("Ga", "gX", "Gb", "h1", 1.0)],
-                        {"Ga": ["g1"], "Gb": ["h1"]}, {})
-    with pytest.raises(ValidationError):
-        bad.validate()
-    neg = HomologyTable([HomologyRecord("Ga", "g1", "Gb", "h1", -1.0)],
-                        {"Ga": ["g1"], "Gb": ["h1"]}, {})
-    with pytest.raises(ValidationError):
-        neg.validate()
+    homology_to_strings(records, {"Ga": (["g1", "g2"], []), "Gb": (["h1", "h2"], [])}, 0.0)
+    genomes = {"Ga": (["g1"], []), "Gb": (["h1"], [])}
+    for bad in (HomologyRecord("Ga", "gX", "Gb", "h1", 1.0),
+                HomologyRecord("Gx", "g1", "Gb", "h1", 1.0),
+                HomologyRecord("Ga", "g1", "Gb", "h1", -1.0),
+                HomologyRecord("Ga", "g1", "Gb", "h1", float("nan"))):
+        # refused whatever the threshold, so also when it would be dropped
+        for threshold in (0.0, 5.0):
+            with pytest.raises(ValidationError):
+                homology_to_strings([bad], genomes, threshold)
+    with pytest.raises(ValidationError, match="threshold"):
+        homology_to_strings([], genomes, float("nan"))
 
 
 def homology_fixture():
@@ -205,63 +206,62 @@ def homology_fixture():
         HomologyRecord("Ga", "g1", "Gb", "h1", 1.0),
         HomologyRecord("Ga", "g2", "Gb", "h2", 1.0),
     ]
-    return HomologyTable(records, {"Ga": ["g1", "g2"], "Gb": ["h1", "h2"]}, {})
+    return records, {"Ga": (["g1", "g2"], []), "Gb": (["h1", "h2"], [])}
 
 
 def test_homology_to_strings_in_order_wci():
-    ds = homology_to_strings(homology_fixture(), threshold=0.0)
+    ds = homology_to_strings(*homology_fixture(), threshold=0.0)
     v = judge_pair(ds, AnchoredInterval("Ga", 1, 2), AnchoredInterval("Gb", 1, 2), 0)
     assert v.is_wci
 
 
 def test_homology_empty_table_no_pairs():
-    table = HomologyTable([], {"Ga": ["g1", "g2"], "Gb": ["h1", "h2"]}, {})
-    ds = homology_to_strings(table, threshold=0.0)
+    ds = homology_to_strings([], {"Ga": (["g1", "g2"], []), "Gb": (["h1", "h2"], [])},
+                             threshold=0.0)
     assert brute_force_pairs(ds, SearchParams(delta=0, quorum=2, min_size=1)) == []
 
 
 def test_homology_private_characters_never_shared():
     # genome E with gene coli.x and genome E.coli with gene x once both got
     # the private label "E.coli.x", which paired them without any record
-    table = HomologyTable([], {"E": ["coli.x"], "E.coli": ["x"]}, {})
-    ds = homology_to_strings(table, threshold=0.0)
+    ds = homology_to_strings([], {"E": (["coli.x"], []), "E.coli": (["x"], [])},
+                             threshold=0.0)
     assert ds.shared_masks == ((0, 0), (0, 0))
     assert list(enumerate_pairs(ds, SearchParams(delta=0, quorum=2, min_size=1))) == []
 
 
 def test_homology_unmatched_gene_is_trivial_indel():
-    table = homology_fixture()
-    table.gene_orders["Ga"] = ["g1", "g0", "g2"]
-    ds = homology_to_strings(table, threshold=0.0)
+    records, genomes = homology_fixture()
+    genomes["Ga"] = (["g1", "g0", "g2"], [])
+    ds = homology_to_strings(records, genomes, threshold=0.0)
     t = build_pos_tables(ds)
     assert t.nohit[0][1] == 1 << 2  # g0 shares nothing
 
 
 def test_homology_threshold_and_order_independence():
-    table = homology_fixture()
-    ds_hi = homology_to_strings(table, threshold=2.0)
+    records, genomes = homology_fixture()
+    ds_hi = homology_to_strings(records, genomes, threshold=2.0)
     assert brute_force_pairs(ds_hi, SearchParams(delta=0, quorum=2, min_size=1)) == []
-    shuffled = HomologyTable(list(reversed(table.records)), table.gene_orders,
-                             table.contig_breaks)
-    a, b = homology_to_strings(table, 0.0), homology_to_strings(shuffled, 0.0)
+    a = homology_to_strings(records, genomes, 0.0)
+    b = homology_to_strings(list(reversed(records)), dict(reversed(genomes.items())), 0.0)
     for sa, sb in zip(a, b):
         assert [{a.alphabet.label(c) for c in ps} for ps in sa.positions] \
             == [{b.alphabet.label(c) for c in ps} for ps in sb.positions]
 
 
 def test_homology_gene_listed_twice_rejected():
-    table = homology_fixture()
-    table.gene_orders["Ga"] = ["g1", "g2", "g1"]
+    records, genomes = homology_fixture()
+    genomes["Ga"] = (["g1", "g2", "g1"], [])
     with pytest.raises(ValidationError) as exc:
-        homology_to_strings(table, threshold=0.0)
+        homology_to_strings(records, genomes, threshold=0.0)
     msg = str(exc.value)
     assert "'Ga'" in msg and "'g1'" in msg and "positions 1 and 3" in msg
 
 
 def test_homology_contig_breaks_carried():
-    table = homology_fixture()
-    table.contig_breaks = {"Ga": [1]}
-    ds = homology_to_strings(table, 0.0)
+    records, genomes = homology_fixture()
+    genomes["Ga"] = (["g1", "g2"], [1])
+    ds = homology_to_strings(records, genomes, 0.0)
     assert ds["Ga"].contig_breaks == frozenset({1})
 
 

@@ -211,6 +211,10 @@ def test_dataset_duplicate_ids():
 
 @pytest.mark.parametrize("kwargs", [
     {"delta": -1}, {"quorum": 1}, {"min_size": -1},
+    # not ints: quorum=2.5 once ran and reported nothing, and 3.0, 0.5 and
+    # 1.5 raised a bare TypeError deep in the search
+    {"quorum": 2.5}, {"quorum": 3.0}, {"delta": 0.5}, {"delta": 1.0},
+    {"min_size": 1.5}, {"quorum": True}, {"delta": False}, {"min_size": "2"},
 ])
 def test_search_params_validation(kwargs):
     with pytest.raises(ValidationError):
