@@ -2,44 +2,59 @@
 
 Pairs become an undirected graph (vertices are intervals, edges are reported
 pairs). Vertices that cannot reach the quorum are dropped, and vertices that
-no closed set can hold may be pruned. Maximal cliques are enumerated by one
-pivoted Bron-Kerbosch run over the whole graph, and each is peeled to its
-closed core with per-vertex extension masks. Both steps are exact because a
-member extendable in a set stays extendable in every subset holding it.
-Reported sets are the cores not contained in another reported core.
+no closed set can hold may be pruned; both drops run in rounds, each round
+re-checking only the live neighbours of the vertices the round before
+dropped. Maximal cliques are enumerated by one pivoted Bron-Kerbosch run
+over the whole graph, and each is peeled to its closed core with per-vertex
+extension masks. Both steps are exact because a member extendable in a set
+stays extendable in every subset holding it. Reported sets are the cores not
+contained in another reported core, found with one bitmask per vertex of the
+cores holding it.
 """
 from __future__ import annotations
 
 from functools import reduce
-from operator import or_
-from typing import Callable, Iterable, Sequence
+from operator import and_, or_
+from typing import Callable, Collection, Iterable, Sequence
 
-from .model import AnchoredInterval, AwciPair, AwciSet, Dataset, ResourceLimitError, SearchParams
+from .model import (AnchoredInterval, AwciPair, AwciSet, Dataset, RangeError,
+                    ResourceLimitError, SearchParams, UnsupportedError, ValidationError)
 from .oracle import is_closed_set  # uncalled; perfbench's install_wrappers still wraps it
 
 CLIQUE_GUARD = 2_000_000  # Bron-Kerbosch steps before ResourceLimitError
 
 
 class AwciGraph:
-    """Deduplicated interval vertices plus pair edges, string-partitioned:
-    `string_index[v]` is the dataset index of vertex v's string."""
+    """Deduplicated interval vertices plus their adjacency sets,
+    string-partitioned: `string_index[v]` is the dataset index of vertex v's
+    string. Every vertex must lie on a string of the dataset, within one
+    contig: else ValidationError (unknown string) or RangeError."""
 
     def __init__(self, dataset: Dataset, vertices: Sequence[AnchoredInterval],
-                 edges: Iterable[tuple[int, int]]) -> None:
+                 adj: list[set[int]]) -> None:
         self.dataset = dataset
         self.vertices = list(vertices)
-        self.string_index = [dataset.index_of(iv.string_id) for iv in self.vertices]
-        self.adj: list[set[int]] = [set() for _ in self.vertices]
-        for u, v in edges:
-            self.adj[u].add(v)
-            self.adj[v].add(u)
+        self.adj = adj
+        self.string_index: list[int] = []
+        for iv in self.vertices:
+            try:
+                x = dataset.index_of(iv.string_id)
+            except KeyError:
+                raise ValidationError(f"interval {iv}: string {iv.string_id!r} "
+                                      f"is not in the dataset") from None
+            s = dataset[x]
+            if iv.j > len(s):
+                raise RangeError(f"interval {iv} runs past the end of its string "
+                                 f"({len(s)} positions)")
+            if s.contig_of[iv.i] != s.contig_of[iv.j]:
+                raise RangeError(f"interval {iv} straddles a contig break")
+            self.string_index.append(x)
 
-    def subgraph(self, keep: set[int]) -> "AwciGraph":
-        kept = sorted(keep)
+    def subgraph(self, kept: Sequence[int]) -> "AwciGraph":
+        """The subgraph induced by `kept` (ascending), renumbered in its order."""
         remap = {v: k for k, v in enumerate(kept)}
-        edges = [(remap[u], remap[v]) for u in kept for v in self.adj[u]
-                 if v in keep and u < v]
-        return AwciGraph(self.dataset, [self.vertices[v] for v in kept], edges)
+        return AwciGraph(self.dataset, [self.vertices[v] for v in kept],
+                         [{remap[u] for u in self.adj[v] if u in remap} for v in kept])
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -50,63 +65,87 @@ def build_graph(pairs: Iterable[AwciPair], dataset: Dataset,
     """Build the pair graph, dropping to a fixpoint every vertex whose
     remaining neighbours span fewer than quorum-1 other strings: no reported
     set can hold it, and dropping a vertex only shrinks the others' spans.
+
+    A pair with both intervals on one string raises UnsupportedError; an
+    interval on a string not in the dataset, past its string's end or across
+    a contig break raises as `AwciGraph` says.
     """
     vertex_ids: dict[AnchoredInterval, int] = {}
-    vertices: list[AnchoredInterval] = []
-    edges: list[tuple[int, int]] = []
+    adj: list[set[int]] = []
     for p in pairs:
-        uv = []
-        for iv in (p.left, p.right):
-            idx = vertex_ids.get(iv)
-            if idx is None:
-                idx = len(vertices)
-                vertex_ids[iv] = idx
-                vertices.append(iv)
-            uv.append(idx)
-        edges.append((uv[0], uv[1]))
+        left, right = p.left, p.right
+        if left.string_id == right.string_id:
+            raise UnsupportedError(f"pair {left} ~ {right} lies on one string")
+        if (u := vertex_ids.get(left)) is None:
+            u = vertex_ids[left] = len(adj)
+            adj.append(set())
+        if (v := vertex_ids.get(right)) is None:
+            v = vertex_ids[right] = len(adj)
+            adj.append(set())
+        adj[u].add(v)
+        adj[v].add(u)
 
-    graph = AwciGraph(dataset, vertices, edges)
+    graph = AwciGraph(dataset, list(vertex_ids), adj)
     string_index = graph.string_index
+    need = params.quorum - 1
 
-    def infeasible(v: int, alive: int) -> bool:
-        spans = {string_index[u] for u in graph.adj[v] if alive >> u & 1}
-        return len(spans) < params.quorum - 1
+    def infeasible(v: int, dead: list[bool]) -> bool:
+        return len({string_index[u] for u in adj[v] if not dead[u]}) < need
 
     return _drop_to_fixpoint(graph, infeasible)
 
 
-def _drop_to_fixpoint(graph: AwciGraph, drop: Callable[[int, int], bool]) -> AwciGraph:
-    """Drop each vertex v with drop(v, alive), alive the bitmask of the vertices
-    not dropped yet, until no vertex left qualifies. Each rule passed here
-    only gets truer as vertices go, so the fixpoint does not depend on the
-    order of the worklist."""
-    alive = full = (1 << len(graph)) - 1
-    work = list(range(len(graph)))
-    while work:
-        v = work.pop()
-        if alive >> v & 1 and drop(v, alive):
-            alive ^= 1 << v
-            work.extend(graph.adj[v])
-    if alive == full:
+def _drop_to_fixpoint(graph: AwciGraph,
+                      drop: Callable[[int, list[bool]], bool]) -> AwciGraph:
+    """Drop each vertex v with drop(v, dead), dead[u] telling whether u is
+    dropped yet, until no vertex left qualifies.
+
+    Runs in rounds: the first checks every vertex, each later one only the
+    live neighbours of the vertices dropped in the round before. A rule
+    passed here reads only v's neighbours, so no other vertex's answer can
+    have changed, and it only gets truer as vertices go, so the fixpoint does
+    not depend on the order of the checks. Returns `graph` itself if nothing
+    was dropped, else one subgraph of the rest.
+    """
+    adj = graph.adj
+    dead = [False] * len(graph)
+    check: Collection[int] = range(len(graph))
+    while check:
+        dropped = []
+        for v in check:
+            if not dead[v] and drop(v, dead):
+                dead[v] = True
+                dropped.append(v)
+        check = {u for v in dropped for u in adj[v] if not dead[u]}
+    if True not in dead:
         return graph
-    return graph.subgraph({v for v in range(len(graph)) if alive >> v & 1})
+    return graph.subgraph([v for v, d in enumerate(dead) if not d])
 
 
 def prune_dominated_vertices(graph: AwciGraph) -> AwciGraph:
     """Drop, to a fixpoint, every vertex that no closed set can hold.
 
-    A vertex v is dropped when one of its extension masks covers all of its
-    remaining neighbours. Every other member of a clique holding v is such a
+    A vertex v is dropped when, at one of its adjacent in-contig positions,
+    no remaining neighbour misses the position: its extension mask there
+    covers all of them. Every other member of a clique holding v is such a
     neighbour, so v is extendable in that clique and the clique is not
-    closed; dropping v changes no output. Dropping a vertex only shrinks its
-    neighbours' neighbourhoods, so a droppable vertex stays droppable.
+    closed; dropping v changes no output. Each vertex keeps, per position,
+    the list of its neighbours whose shared-character mask misses that
+    position (all of them where the position's mask is 0), and goes once one
+    of its lists holds only dropped vertices. Dropping a vertex only shrinks
+    its neighbours' neighbourhoods, so a droppable vertex stays droppable.
     """
-    masks = extension_masks(graph)
-    neighbours = [sum(1 << u for u in adj) for adj in graph.adj]
+    char_masks = _interval_masks(graph)
+    missers = [[[u for u in nbrs if not pm & char_masks[u]] if pm else list(nbrs)
+                for pm in sides]
+               for nbrs, sides in zip(graph.adj, _side_masks(graph))]
 
-    def dominated(v: int, alive: int) -> bool:
-        live = neighbours[v] & alive
-        return any(live & mask == live for mask in masks[v])
+    def dominated(v: int, dead: list[bool]) -> bool:
+        is_dead = dead.__getitem__
+        for m in missers[v]:
+            if all(map(is_dead, m)):
+                return True
+        return False
 
     return _drop_to_fixpoint(graph, dominated)
 
@@ -137,6 +176,26 @@ def _maximal_cliques(graph: AwciGraph, guard: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _interval_masks(graph: AwciGraph) -> list[int]:
+    """Per vertex, the OR of the shared-character masks of its interval."""
+    shared_masks = graph.dataset.shared_masks
+    return [reduce(or_, shared_masks[x][iv.i:iv.j + 1])
+            for x, iv in zip(graph.string_index, graph.vertices)]
+
+
+def _side_masks(graph: AwciGraph) -> list[list[int]]:
+    """Per vertex v = [i, j] on S, the shared-character mask of each p in
+    {i-1, j+1} inside S and v's contig; positions off the string or across a
+    contig break are left out."""
+    strings, shared_masks = graph.dataset.strings, graph.dataset.shared_masks
+    out = []
+    for x, (_, i, j) in zip(graph.string_index, graph.vertices):
+        sm = shared_masks[x]
+        lo, hi = strings[x].contig_of[i]
+        out.append([sm[p] for p in (i - 1, j + 1) if lo <= p <= hi])
+    return out
+
+
 def extension_masks(graph: AwciGraph) -> list[tuple[int, ...]]:
     """Per vertex, one neighbour bitmask for each adjacent in-contig position.
 
@@ -146,21 +205,10 @@ def extension_masks(graph: AwciGraph) -> list[tuple[int, ...]]:
     strings, so the test runs on `Dataset.shared_masks`: S[p]'s mask against
     the OR of u's masks; a position with mask 0 meets no neighbour.
     """
-    dataset = graph.dataset
-    char_masks = [reduce(or_, dataset.shared_masks[x][iv.i:iv.j + 1])
-                  for x, iv in zip(graph.string_index, graph.vertices)]
-    out: list[tuple[int, ...]] = []
-    for v, (x, iv) in enumerate(zip(graph.string_index, graph.vertices)):
-        sm = dataset.shared_masks[x]
-        lo, hi = dataset[x].contig_bounds(iv.i)
-        masks = []
-        for p in (iv.i - 1, iv.j + 1):
-            if lo <= p <= hi:
-                pm = sm[p]
-                masks.append(sum(1 << u for u in graph.adj[v] if pm & char_masks[u])
-                             if pm else 0)
-        out.append(tuple(masks))
-    return out
+    char_masks = _interval_masks(graph)
+    return [tuple(sum(1 << u for u in adj if pm & char_masks[u]) if pm else 0
+                  for pm in sides)
+            for adj, sides in zip(graph.adj, _side_masks(graph))]
 
 
 def closed_core(masks: list[tuple[int, ...]],
@@ -204,17 +252,26 @@ def maximal_closed_sets(graph: AwciGraph, params: SearchParams) -> list[AwciSet]
         if len(core) >= params.quorum:
             candidates.add(core)
 
-    ordered = sorted(candidates)
-    closed_sets = [frozenset(c) for c in ordered]
     results = []
-    for c, cset in zip(ordered, closed_sets):
-        if any(cset < other for other in closed_sets):
-            continue
+    for c in _uncontained(list(candidates)):
         members = tuple(sorted((graph.vertices[v] for v in c),
                                key=dataset.sort_key))
         results.append(AwciSet(members=members))
     results.sort(key=lambda s: tuple(dataset.sort_key(m) for m in s.members))
     return results
+
+
+def _uncontained(cores: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The cores, distinct non-empty vertex tuples, that lie in no other core,
+    in their order. Bit k of `holders[v]` marks core k holding v; a core lies
+    in another iff the AND of its members' masks has a bit besides its own,
+    and being distinct, that other core strictly contains it."""
+    holders: dict[int, int] = {}
+    for k, core in enumerate(cores):
+        for v in core:
+            holders[v] = holders.get(v, 0) | 1 << k
+    return [core for k, core in enumerate(cores)
+            if reduce(and_, map(holders.__getitem__, core)) == 1 << k]
 
 
 def assemble(pairs: Iterable[AwciPair], dataset: Dataset, params: SearchParams, *,

@@ -1,4 +1,7 @@
 """Shared fixtures: the worked three-string demo dataset and small builders."""
+import ast
+from pathlib import Path
+
 import pytest
 
 from awci.model import Alphabet, Dataset, build_string
@@ -48,3 +51,21 @@ def witness():
 
 def labels_of(dataset, char_ids):
     return {dataset.alphabet.label(c) for c in char_ids}
+
+
+def perfbench_workloads():
+    """perfbench's workloads, read from the source of `perfbench/run.py`
+    without importing it: name -> (the `generate_planted` spec other than the
+    seed, the `SearchParams` keywords, the seed of dataset 0), the arguments
+    each `Workload(...)` entry passes."""
+    tree = ast.parse((Path(__file__).resolve().parent.parent / "perfbench" / "run.py")
+                     .read_text())
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Workload":
+            name, spec, params, _, seed_base = node.args
+            out[ast.literal_eval(name)] = (
+                {kw.arg: ast.literal_eval(kw.value) for kw in spec.keywords},
+                {kw.arg: ast.literal_eval(kw.value) for kw in params.keywords},
+                ast.literal_eval(seed_base))
+    return out

@@ -1,10 +1,13 @@
 import importlib
+import random
+from itertools import combinations
 
 import pytest
 
 from awci.assemble import (
     AwciGraph,
     _maximal_cliques,
+    _uncontained,
     assemble,
     build_graph,
     closed_core,
@@ -12,14 +15,24 @@ from awci.assemble import (
     maximal_closed_sets,
     prune_dominated_vertices,
 )
-from awci.model import AnchoredInterval, AwciPair, ResourceLimitError, SearchParams
+from awci.model import (AnchoredInterval, AwciPair, RangeError, ResourceLimitError,
+                        SearchParams, UnsupportedError, ValidationError)
 from awci.oracle import at, brute_force_maximal_closed_sets, char_set, is_closed_set
 from awci.sweep import enumerate_pairs
-from awci.synth import random_instance
-from conftest import WITNESS_CLOSED, make_dataset
+from awci.synth import PlantedSpec, generate_planted, random_instance
+from conftest import WITNESS_CLOSED, make_dataset, perfbench_workloads
 
 # the module itself: the package attribute `awci.assemble` is the function
 assemble_module = importlib.import_module("awci.assemble")
+
+
+def graph_of(dataset, vertices, edges):
+    """An `AwciGraph` from an edge list."""
+    adj = [set() for _ in vertices]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return AwciGraph(dataset, vertices, adj)
 
 
 def demo_graph(demo, params):
@@ -64,6 +77,41 @@ def test_build_graph_empty_stream(demo):
     assert len(g) == 0
 
 
+def unit_pair(left, right):
+    return AwciPair(left=left, right=right, common_size=0, indel_total=0,
+                    size_left=left.length, size_right=right.length)
+
+
+def two_strings():
+    # S has 2 positions; T has 3, with a contig break after position 2
+    return make_dataset(("S", [["a"], ["b"]]), ("T", [["a"], ["b"], ["c"]], [2]))
+
+
+def test_build_graph_refuses_unknown_string():
+    pair = unit_pair(AnchoredInterval("S", 1, 1), AnchoredInterval("X", 1, 1))
+    with pytest.raises(ValidationError, match="'X'"):
+        build_graph([pair], two_strings(), SearchParams(delta=0, quorum=2))
+
+
+@pytest.mark.parametrize("left, right, bad", [
+    (AnchoredInterval("S", 1, 5), AnchoredInterval("T", 1, 2), "S:1-5"),  # past S's end
+    (AnchoredInterval("S", 1, 2), AnchoredInterval("T", 2, 3), "T:2-3"),  # across T's break
+])
+def test_build_graph_refuses_interval_out_of_range(left, right, bad):
+    with pytest.raises(RangeError, match=bad):
+        build_graph([unit_pair(left, right)], two_strings(),
+                    SearchParams(delta=0, quorum=2))
+
+
+@pytest.mark.parametrize("right", [AnchoredInterval("S", 2, 2),
+                                   AnchoredInterval("S", 1, 1)])
+def test_build_graph_refuses_same_string_pair(right):
+    # also the self-loop S:1-1 ~ S:1-1
+    pair = unit_pair(AnchoredInterval("S", 1, 1), right)
+    with pytest.raises(UnsupportedError):
+        build_graph([pair], two_strings(), SearchParams(delta=0, quorum=2))
+
+
 def prune_fixture():
     """u = S:1-9 strictly contains v = S:1-8; S position 9 repeats a character
     of the neighbor's interval."""
@@ -75,7 +123,7 @@ def prune_fixture():
     v = AnchoredInterval("S", 1, 8)
     u = AnchoredInterval("S", 1, 9)
     w = AnchoredInterval("T", 1, 8)
-    g = AwciGraph(ds, [v, u, w], [(0, 2), (1, 2)])
+    g = graph_of(ds, [v, u, w], [(0, 2), (1, 2)])
     return ds, g
 
 
@@ -97,7 +145,7 @@ def test_prune_keeps_vertex_no_mask_covers():
     v = AnchoredInterval("S", 1, 8)
     w = AnchoredInterval("T", 1, 8)
     z = AnchoredInterval("U", 1, 8)
-    g = AwciGraph(ds, [v, w, z], [(0, 1), (0, 2)])
+    g = graph_of(ds, [v, w, z], [(0, 1), (0, 2)])
     assert prune_dominated_vertices(g) is g
 
 
@@ -113,7 +161,7 @@ def test_prune_runs_to_fixpoint():
     z = AnchoredInterval("U", 1, 8)
     w = AnchoredInterval("T", 1, 8)
     v = AnchoredInterval("S", 1, 8)
-    g = AwciGraph(ds, [z, w, v], [(2, 0), (2, 1)])
+    g = graph_of(ds, [z, w, v], [(2, 0), (2, 1)])
     assert extension_masks(g)[2] == (0b010,)
     assert [str(x) for x in prune_dominated_vertices(g).vertices] == ["T:1-8"]
 
@@ -146,9 +194,36 @@ def test_maximal_closed_sets_demo(demo):
     assert tuple(str(m) for m in sets[0].members) == ("S1:1-8", "S2:2-7", "S3:1-8")
 
 
+def pairwise_uncontained(cores):
+    """The containment filter by its definition: drop every core that is a
+    proper subset of another."""
+    return [c for c in cores if not any(set(c) < set(other) for other in cores)]
+
+
+@pytest.mark.parametrize("cores", [
+    [(0, 1, 2), (0, 1), (1, 2), (3, 4)],      # nested in one core; disjoint
+    [(0, 1), (1, 2), (0, 2)],                 # equal size, overlapping
+    [(0, 1), (0, 1, 2, 3), (4, 5, 6), (0, 1, 2)],  # a chain of three
+    [(5, 6), (0, 1)],                         # disjoint
+    [(0, 1, 2)],
+])
+def test_uncontained_matches_pairwise_rule(cores):
+    assert _uncontained(cores) == pairwise_uncontained(cores)
+
+
+def test_uncontained_matches_pairwise_rule_random():
+    rng = random.Random(7)
+    for _ in range(300):
+        pool = range(rng.randint(2, 8))
+        cores = sorted({tuple(sorted(rng.sample(pool, rng.randint(1, len(pool)))))
+                        for _ in range(rng.randint(1, 12))})
+        rng.shuffle(cores)
+        assert _uncontained(cores) == pairwise_uncontained(cores), cores
+
+
 def test_single_edge_below_quorum(demo):
     ds = make_dataset(("S", [["a"]]), ("T", [["a"]]))
-    g = AwciGraph(ds, [AnchoredInterval("S", 1, 1), AnchoredInterval("T", 1, 1)],
+    g = graph_of(ds, [AnchoredInterval("S", 1, 1), AnchoredInterval("T", 1, 1)],
                   [(0, 1)])
     assert maximal_closed_sets(g, SearchParams(delta=0, quorum=3)) == []
 
@@ -179,7 +254,7 @@ def test_peel_past_two_extendable_members():
     members = [AnchoredInterval(s.id, 1, 2) for s in ds.strings]
     edges = [(u, v) for u in range(6) for v in range(u + 1, 6)]
     params = SearchParams(delta=0, quorum=3, min_size=2)
-    sets = maximal_closed_sets(AwciGraph(ds, members, edges), params)
+    sets = maximal_closed_sets(graph_of(ds, members, edges), params)
     assert [tuple(map(str, s.members)) for s in sets] == [("B1:1-2", "B2:1-2", "B3:1-2")]
     assert is_closed_set(ds, sets[0].members)
     pairs = [AwciPair(left=members[u], right=members[v],
@@ -297,3 +372,89 @@ def test_extension_masks_match_char_sets():
     assert masks == literal_extension_masks(g)
     s23 = g.vertices.index(AnchoredInterval("S", 2, 3))
     assert masks[s23] == (0, 0)
+
+
+def literal_prune(graph):
+    """The intervals `prune_dominated_vertices` keeps, by its rule: over and
+    over until nothing changes, drop each vertex one of whose
+    `literal_extension_masks` covers all its remaining neighbours."""
+    masks = literal_extension_masks(graph)
+    alive = set(range(len(graph)))
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(alive):
+            live = sum(1 << u for u in graph.adj[v] & alive)
+            if any(live & mask == live for mask in masks[v]):
+                alive.remove(v)
+                changed = True
+    return {graph.vertices[v] for v in alive}
+
+
+def shuffled(graph, rng):
+    """`graph` with its vertex list in a random order."""
+    order = list(range(len(graph)))
+    rng.shuffle(order)
+    new_id = {v: k for k, v in enumerate(order)}
+    return AwciGraph(graph.dataset, [graph.vertices[v] for v in order],
+                     [{new_id[u] for u in graph.adj[v]} for v in order])
+
+
+def edge_set(graph):
+    return {(graph.vertices[u], graph.vertices[v])
+            for u in range(len(graph)) for v in graph.adj[u]}
+
+
+def test_prune_matches_literal_reference():
+    # the fixpoint does not depend on the vertex order, so a shuffled vertex
+    # list keeps the same intervals; the kept graph is the induced subgraph
+    rng = random.Random(0)
+    dropped = 0
+    for seed in range(40):
+        ds = random_instance(seed, break_prob=0.4)
+        for delta in (0, 1, 2):
+            for q in (2, 3):
+                if q > len(ds):
+                    continue
+                params = SearchParams(delta=delta, quorum=q, min_size=1)
+                graph = build_graph(enumerate_pairs(ds, params), ds, params)
+                kept = literal_prune(graph)
+                for g in (graph, shuffled(graph, rng)):
+                    pruned = prune_dominated_vertices(g)
+                    assert set(pruned.vertices) == kept, (seed, delta, q)
+                    assert edge_set(pruned) == {(a, b) for a, b in edge_set(graph)
+                                                if a in kept and b in kept}
+                dropped += len(graph) - len(kept)
+    assert dropped > 0
+
+
+def test_drop_rules_run_in_linear_work(monkeypatch):
+    # on the first 16 datasets of perfbench's planted-sets workload, the
+    # prune's rule runs at most 3 times and the quorum rule at most twice per
+    # vertex of the graph they are given
+    spec, params, seed_base = perfbench_workloads()["planted-sets"]
+    params = SearchParams(**params)
+    drop_to_fixpoint = assemble_module._drop_to_fixpoint
+    runs = []
+
+    def counting(graph, drop):
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return drop(*args)
+
+        out = drop_to_fixpoint(graph, counted)
+        runs.append((calls, len(graph)))
+        return out
+
+    monkeypatch.setattr(assemble_module, "_drop_to_fixpoint", counting)
+    for u in range(16):
+        ds, _ = generate_planted(PlantedSpec(seed=seed_base + u, **spec))
+        graph = build_graph(enumerate_pairs(ds, params), ds, params)
+        prune_dominated_vertices(graph)
+        (build_calls, n_built), (prune_calls, n_pruned) = runs[-2:]
+        assert build_calls <= 2 * n_built, u
+        assert prune_calls <= 3 * n_pruned, u
+    assert len(runs) == 32

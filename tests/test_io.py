@@ -1,6 +1,4 @@
-import ast
 import io
-from pathlib import Path
 
 import pytest
 
@@ -20,7 +18,7 @@ from awci.oracle import AwciSet, brute_force_pairs, judge_pair
 from awci.sweep import enumerate_pairs
 from awci.synth import PlantedSpec, generate_planted, random_instance
 from awci.tables import build_pos_tables
-from conftest import make_dataset
+from conftest import make_dataset, perfbench_workloads
 
 
 def roundtrip(ds):
@@ -42,13 +40,8 @@ def test_ist_roundtrip_demo(demo):
 
 
 def workload_specs():
-    """The `generate_planted` specs of perfbench's workloads, read from its
-    source: the `dict(...)` each `Workload(...)` entry passes."""
-    tree = ast.parse((Path(__file__).resolve().parent.parent / "perfbench" / "run.py")
-                     .read_text())
-    return [{kw.arg: ast.literal_eval(kw.value) for kw in node.args[1].keywords}
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Workload"]
+    """The `generate_planted` specs of perfbench's workloads."""
+    return [spec for spec, _, _ in perfbench_workloads().values()]
 
 
 def test_workload_specs_are_read():
