@@ -21,7 +21,8 @@ from .ioformats import (
     write_sets,
 )
 from .model import Dataset, FormatError, ResourceLimitError, SearchParams, ValidationError
-from .oracle import brute_force_maximal_closed_sets, brute_force_pairs
+from .oracle import (brute_force_grouped_pairs, brute_force_maximal_closed_sets,
+                     brute_force_pairs)
 from .sweep import enumerate_pairs
 from .synth import PlantedSpec, generate_planted, random_instance
 
@@ -209,7 +210,10 @@ def verify_seed(seed: int, delta: int, min_size: int) -> list[str]:
     """Oracle differential of one seed; returns the mismatches found.
 
     Pairs: the sweep at quorum 2, which reports every pair (filter on and
-    off), against `brute_force_pairs` on `random_instance(seed)`.
+    off), against `brute_force_pairs` on `random_instance(seed)`, and the
+    sweep at each quorum from 3 to the number of strings against
+    `brute_force_grouped_pairs` (some faults of the sweep's coverage tests
+    change no output below quorum 4).
     Sets: `assemble` against `brute_force_maximal_closed_sets` on the smaller
     `random_instance(seed, max_n=10)`, at quorum 2 or 3.
     """
@@ -219,6 +223,11 @@ def verify_seed(seed: int, delta: int, min_size: int) -> list[str]:
     problems = first_difference(list(enumerate_pairs(dataset, params)), expected, "pairs")
     problems += first_difference(list(enumerate_pairs(dataset, params, use_filter=False)),
                                  expected, "pairs without filter")
+    for quorum in range(3, len(dataset) + 1):
+        params = SearchParams(delta=delta, quorum=quorum, min_size=min_size)
+        problems += first_difference(list(enumerate_pairs(dataset, params)),
+                                     brute_force_grouped_pairs(dataset, params, expected),
+                                     f"pairs at quorum {quorum}")
 
     small = random_instance(seed, max_n=10)
     params = SearchParams(delta=delta, quorum=min(2 + seed % 2, len(small)),

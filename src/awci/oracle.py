@@ -6,6 +6,7 @@ exponential in places; the set enumeration is gated by a resource guard.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -134,7 +135,12 @@ def make_pair(dataset: Dataset, a: AnchoredInterval, b: AnchoredInterval,
 
 
 def brute_force_pairs(dataset: Dataset, params: SearchParams) -> list[AwciPair]:
-    """Enumerate every reportable interval pair by exhaustive search."""
+    """Enumerate every reportable interval pair by exhaustive search.
+
+    `params.quorum` is ignored: these are the pairs `enumerate_pairs` reports
+    at quorum 2, and `brute_force_maximal_closed_sets` builds its graph from
+    all of them whatever the quorum.
+    """
     out: list[AwciPair] = []
     m = len(dataset)
     for xi in range(m - 1):
@@ -149,6 +155,24 @@ def brute_force_pairs(dataset: Dataset, params: SearchParams) -> list[AwciPair]:
                         out.append(pair)
     out.sort(key=lambda p: dataset.sort_key(p.left) + dataset.sort_key(p.right))
     return out
+
+
+def brute_force_grouped_pairs(dataset: Dataset, params: SearchParams,
+                              pairs: list[AwciPair] | None = None) -> list[AwciPair]:
+    """The pairs `enumerate_pairs` reports at `params.quorum`: those of
+    `brute_force_pairs` whose left interval pairs with intervals of at least
+    quorum - 1 distinct strings, on either side.
+
+    `pairs`, when given, must be `brute_force_pairs(dataset, params)`; it
+    saves the exhaustive search when several quorums are checked.
+    """
+    if pairs is None:
+        pairs = brute_force_pairs(dataset, params)
+    partners: dict[AnchoredInterval, set[str]] = defaultdict(set)
+    for p in pairs:
+        partners[p.left].add(p.right.string_id)
+        partners[p.right].add(p.left.string_id)
+    return [p for p in pairs if len(partners[p.left]) >= params.quorum - 1]
 
 
 def brute_force_maximal_closed_sets(dataset: Dataset, params: SearchParams,

@@ -233,11 +233,17 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
         which no string after x has an interval is skipped, since only those
         strings are reported;
       * at quorum > 2 the strings before x count towards the quorum but are
-        never reported, so at a right bound j that still lacks coverage, each
-        live one hitting j is only tested for an interval of [i, j] (the
-        walk over j alone, stopping at the first), and only until the
-        quorum is reached. Coverage can come only from live strings hitting
-        j, so a j with fewer than quorum - 1 of them fails these tests.
+        never reported, so at a right bound j that still lacks coverage they
+        are tested, and only until the quorum is reached. Each emitted pair
+        sets the bit of its left string on its right interval's cache entry,
+        so a string y < x whose bit is set on [i, j]_x has a pair with it,
+        emitted by the earlier unit (y, k), and counts at once: the pair
+        predicate (all four endpoints anchored, the indel total within
+        delta, min_size on both sides) is symmetric. Each other live string
+        hitting j is only tested for an interval of [i, j] (the walk over j
+        alone, stopping at the first). Coverage can come only from live
+        strings hitting j, so a j with fewer than quorum - 1 of them fails
+        these tests.
 
     `use_filter=False` skips the ridge bound, so J is the whole contig
     suffix of i; it is the reference path the bound is checked against.
@@ -254,7 +260,8 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
     the two sides lie on different strings, so this is exact). Each distinct
     interval of the reported pairs gets one `AnchoredInterval` and one such
     mask per search, shared by all units and by both sides of every pair;
-    pairs and intervals are tuples, so both are built and hashed in C.
+    pairs and intervals are tuples, so both are built and hashed in C. Each
+    unit builds its pairs in one list, which the search then yields from.
 
     The search runs in one thread; `threads` accepts only 1 (any other value
     raises ValidationError) and stays only because `perfbench/run.py` passes it.
@@ -279,27 +286,28 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
         raise AwciError(f"ridge_t was built for delta={ridge_t[0][1].delta}, "
                         f"not delta={params.delta}")
 
-    # (string, i, j) -> the interval and the OR of its shared-character masks
-    intervals: dict[tuple[int, int, int], tuple[AnchoredInterval, int]] = {}
+    # (string, a, b) -> [the interval, the OR of its shared-character masks,
+    # above quorum 2 the bits of the strings of the emitted pairs holding it
+    # as their right interval]
+    intervals: dict[tuple[int, int, int], list] = {}
     shared_masks = dataset.shared_masks
     strings = dataset.strings
+    record = quorum > 2
 
-    def interval(s: int, a: int, b: int) -> tuple[AnchoredInterval, int]:
-        got = intervals.get((s, a, b))
-        if got is None:
-            got = intervals[s, a, b] = (AnchoredInterval(strings[s].id, a, b),
-                                        reduce(or_, shared_masks[s][a:b + 1]))
-        return got
+    def add_interval(s: int, a: int, b: int) -> list:
+        entry = intervals[s, a, b] = [AnchoredInterval(strings[s].id, a, b),
+                                      reduce(or_, shared_masks[s][a:b + 1]), 0]
+        return entry
 
-    def run_unit(unit: tuple[int, int]) -> Iterator[AwciPair]:
+    def run_unit(unit: tuple[int, int]) -> list[AwciPair]:
         x, i = unit
         jt = i + params.min_size - 1
         if jt > strings[x].contig_of[i][1]:
-            return
+            return []
         nohit = tables.nohit[x]
         strings_at = tables.strings_at[x]
         w = window(i, jt)
-        hitting = set_bits(strings_at[i] if quorum > 2 else strings_at[i] & (-1 << x + 1))
+        hitting = set_bits(strings_at[i] if record else strings_at[i] & (-1 << x + 1))
         # how many strings hitting i may fail the lookahead, leaving quorum - 1
         spare = len(hitting) - (quorum - 1)
         live = []
@@ -307,39 +315,50 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
             if (nohit[y] & w).bit_count() <= params.delta:
                 live.append(y)
             elif (spare := spare - 1) < 0:
-                return
+                return []
         if live[-1] < x:  # no live string after x, so nothing to report
-            return
+            return []
         J = candidate_right_bounds(tables, ridge_t, x, i, params)
         if use_filter:
             J = refine_bounds(tables, ridge_t, x, i, live, J, params)
         if not J:
-            return
+            return []
         live_mask = sum(1 << y for y in live)
-        # results of the reported strings, in string order, grouped by j
-        found_at: dict[int, list[tuple[int, int, int, int, int]]] = {}
+        x_bit = 1 << x
+        pairs: list[AwciPair] = []
+        # (y, walk result) of the reported strings, in string order, by j
+        found_at: dict[int, list[tuple[int, tuple[int, int, int, int, int]]]] = {}
         for y in (y for y in live if y > x):
-            for j, k, l, covered, d in enumerate_trans_intervals(
-                    tables, x, i, max(i, jt), J[-1], y, params):
-                found_at.setdefault(j, []).append((y, k, l, covered, d))
+            for found in enumerate_trans_intervals(tables, x, i, max(i, jt), J[-1],
+                                                   y, params):
+                found_at.setdefault(found[0], []).append((y, found))
         for j in sorted(found_at):
             entries = found_at[j]
+            left = intervals.get((x, i, j))
             # at quorum 2 every entry's string, after x, is the whole quorum
-            if quorum > 2 and (coverage := len({y for y, *_ in entries})) < quorum - 1:
-                for y in set_bits(strings_at[j] & live_mask):
-                    if y > x or coverage >= quorum - 1:
+            if record and (coverage := len({y for y, _ in entries})) < quorum - 1:
+                # strings before x whose pairs with [i, j] were emitted count
+                # at once; the pair predicate is symmetric
+                known = left[2] if left is not None else 0
+                coverage += known.bit_count()
+                for y in set_bits(strings_at[j] & live_mask & (x_bit - 1) & ~known):
+                    if coverage >= quorum - 1:
                         break
                     if next(_trans_walk(tables, x, i, j, j, y, params), None) is not None:
                         coverage += 1
                 if coverage < quorum - 1:
                     continue
-            left, left_mask = interval(x, i, j)
-            for y, k, l, covered, d in entries:
-                right, right_mask = interval(y, k, l)
+            left_iv, left_mask, _ = left or add_interval(x, i, j)
+            for y, (_, k, l, covered, d) in entries:
+                right = intervals.get((y, k, l)) or add_interval(y, k, l)
+                if record:
+                    right[2] |= x_bit
                 # AwciPair(left, right, common_size, indel_total, size_left,
                 # size_right), without the frame of its Python-level __new__
-                yield tuple.__new__(AwciPair, (left, right, (left_mask & right_mask).bit_count(),
-                                               j - i + 1 - covered + d, covered, l - k + 1 - d))
+                pairs.append(tuple.__new__(AwciPair, (
+                    left_iv, right[0], (left_mask & right[1]).bit_count(),
+                    j - i + 1 - covered + d, covered, l - k + 1 - d)))
+        return pairs
 
     # index 0 of strings_at is an unused 0, and quorum >= 2 skips it
     units = [(x, i) for x in range(m - 1) for i, at in enumerate(tables.strings_at[x])

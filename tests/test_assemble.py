@@ -429,11 +429,11 @@ def test_prune_matches_literal_reference():
 
 
 def test_drop_rules_run_in_linear_work(monkeypatch):
-    # on the first 16 datasets of perfbench's planted-sets workload, the
-    # prune's rule runs at most 3 times and the quorum rule at most twice per
-    # vertex of the graph they are given
-    spec, params, seed_base = perfbench_workloads()["planted-sets"]
-    params = SearchParams(**params)
+    # the prune's rule runs at most 3 times and the quorum rule at most twice
+    # per vertex of the graph they are given: on the first 16 datasets of
+    # perfbench's planted-sets workload, and on a quorum cascade that drops
+    # in more rounds than a scheme re-checking every vertex each round could
+    # afford under that bound
     drop_to_fixpoint = assemble_module._drop_to_fixpoint
     runs = []
 
@@ -446,15 +446,43 @@ def test_drop_rules_run_in_linear_work(monkeypatch):
             return drop(*args)
 
         out = drop_to_fixpoint(graph, counted)
-        runs.append((calls, len(graph)))
+        runs.append((calls, graph.vertices))
         return out
 
     monkeypatch.setattr(assemble_module, "_drop_to_fixpoint", counting)
+    spec, params, seed_base = perfbench_workloads()["planted-sets"]
+    params = SearchParams(**params)
     for u in range(16):
         ds, _ = generate_planted(PlantedSpec(seed=seed_base + u, **spec))
         graph = build_graph(enumerate_pairs(ds, params), ds, params)
         prune_dominated_vertices(graph)
-        (build_calls, n_built), (prune_calls, n_pruned) = runs[-2:]
-        assert build_calls <= 2 * n_built, u
-        assert prune_calls <= 3 * n_pruned, u
+        (build_calls, built), (prune_calls, pruned) = runs[-2:]
+        assert build_calls <= 2 * len(built), u
+        assert prune_calls <= 3 * len(pruned), u
     assert len(runs) == 32
+
+    # quorum 3. The stable part is the complete tripartite graph on S, T and
+    # U at positions 2, 4 and 5. The chain c0..c5 on S:1, T:1, U:1, S:3, T:3,
+    # U:3 drops from c5, which spans T only, down to c0: each c_k spans the
+    # strings of c_k-1 and c_k+1 (c0: U:2 in place of c_-1), and its stable
+    # neighbour lies on the string of c_k-1, so it goes once c_k+1 has gone.
+    # Vertex ids follow first appearance, and the chain's (c5, c3, c1, c0, c2,
+    # c4) make every pass over all vertices, ascending or descending, drop at
+    # most two links; re-checking all 15 vertices in each of those 4 or more
+    # rounds would take 48 calls or more, past the bound of 30.
+    ds = make_dataset(*[(sid, [["a"]] * 5) for sid in "STU"])
+    iv = {f"{sid}{p}": AnchoredInterval(sid, p, p) for sid in "STU" for p in range(1, 6)}
+    stable = [f"{sid}{p}" for p in (2, 4, 5) for sid in "STU"]
+    chain = ["S1", "T1", "U1", "S3", "T3", "U3"]
+    edges = {frozenset((a, b)) for a in stable for b in stable if a[0] != b[0]}
+    edges |= {frozenset((a, b)) for a, b in zip(chain, chain[1:])}
+    edges |= {frozenset(("S1", "U2"))}
+    edges |= {frozenset((c, prev[0] + "2")) for prev, c in zip(chain, chain[1:])}
+    order = stable + [chain[k] for k in (5, 3, 1, 0, 2, 4)]
+    pairs = [unit_pair(iv[a], iv[b]) for k, b in enumerate(order) for a in order[:k]
+             if frozenset((a, b)) in edges]
+    graph = build_graph(pairs, ds, SearchParams(delta=0, quorum=3))
+    calls, built = runs[-1]
+    assert built == [iv[v] for v in order]
+    assert graph.vertices == [iv[v] for v in stable]
+    assert calls <= 2 * len(built)

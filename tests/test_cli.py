@@ -239,6 +239,19 @@ def test_verify_names_the_first_differing_pair(monkeypatch, capsys):
     assert "pairs differ: got" in err and "pairs without filter differ: got" in err
 
 
+def test_verify_checks_pairs_above_quorum_2(monkeypatch, capsys):
+    # seed 0 has three strings and pairs at quorum 3 (delta 0, min_size 1)
+    def last_pair_dropped_above_quorum_2(dataset, params, **kwargs):
+        pairs = list(enumerate_pairs(dataset, params, **kwargs))
+        return pairs[:-1] if params.quorum > 2 else pairs
+
+    assert len(random_instance(0)) == 3
+    monkeypatch.setattr(cli, "enumerate_pairs", last_pair_dropped_above_quorum_2)
+    assert cli.main(["verify", "--seeds", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "pairs at quorum 3" in err and "pairs differ" not in err
+
+
 def test_verify_names_the_members_of_the_first_differing_set(monkeypatch, capsys):
     # seed 0 checks assemble on random_instance(0, max_n=10) at delta 0,
     # quorum 2, min_size 1

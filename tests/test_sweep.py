@@ -1,4 +1,4 @@
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -11,7 +11,8 @@ from awci.model import (
     SearchParams,
     ValidationError,
 )
-from awci.oracle import at, brute_force_pairs, char_set, intervals, make_pair
+from awci.oracle import (at, brute_force_grouped_pairs, brute_force_pairs, char_set,
+                         intervals, make_pair)
 from awci.ridge import build_all_ridge_t, filter_position
 from awci.sweep import (
     _trans_walk,
@@ -23,7 +24,7 @@ from awci.sweep import (
 )
 from awci.synth import PlantedSpec, generate_planted, random_instance
 from awci.tables import build_pos_tables, set_bits
-from conftest import make_dataset
+from conftest import make_dataset, perfbench_workloads
 
 
 def test_collect_anchors_demo(demo):
@@ -346,30 +347,78 @@ def test_enumerate_pairs_grouped_matches_oracle():
             for min_size in (1, 2, 3):
                 reference = brute_force_pairs(ds, SearchParams(delta=delta,
                                                                min_size=min_size))
-                partners = defaultdict(set)
-                for p in reference:
-                    partners[p.left].add(p.right.string_id)
-                    partners[p.right].add(p.left.string_id)
                 for quorum in range(2, len(ds) + 1):
                     params = SearchParams(delta=delta, quorum=quorum, min_size=min_size)
-                    expected = [p for p in reference
-                                if len(partners[p.left]) >= quorum - 1]
+                    expected = brute_force_grouped_pairs(ds, params, reference)
                     assert list(enumerate_pairs(ds, params)) == expected, (seed, params)
                     cases += 1
                     nonempty += bool(expected)
     assert (cases, nonempty) == (1071, 916)
 
 
-def grouped_oracle(ds, params):
-    """`brute_force_pairs` kept to the pairs whose left interval pairs with
-    intervals of at least quorum - 1 distinct strings, on either side."""
-    reference = brute_force_pairs(ds, SearchParams(delta=params.delta,
-                                                   min_size=params.min_size))
-    partners = defaultdict(set)
-    for p in reference:
-        partners[p.left].add(p.right.string_id)
-        partners[p.right].add(p.left.string_id)
-    return [p for p in reference if len(partners[p.left]) >= params.quorum - 1]
+def count_existence_walks(monkeypatch):
+    """Patch the sweep so that each `_trans_walk` call made outside
+    `enumerate_trans_intervals`, an existence test, is listed as (x, i, j)."""
+    walk, trans = awci.sweep._trans_walk, awci.sweep.enumerate_trans_intervals
+    calls = []
+    inside = False
+
+    def counting_walk(tables, x, i, jmin, jend, y, params):
+        if not inside:
+            calls.append((x, i, jmin))
+        return walk(tables, x, i, jmin, jend, y, params)
+
+    def marking_trans(*args):
+        nonlocal inside
+        inside = True
+        try:
+            return trans(*args)
+        finally:
+            inside = False
+
+    monkeypatch.setattr(awci.sweep, "_trans_walk", counting_walk)
+    monkeypatch.setattr(awci.sweep, "enumerate_trans_intervals", marking_trans)
+    return calls
+
+
+def test_planted_sets_coverage_needs_no_existence_walk(monkeypatch):
+    # on perfbench's planted-sets (quorum = m) every string before x that
+    # counts towards the quorum already emitted its pair with [i, j]_x, so the
+    # partner bits answer every coverage test and no existence walk runs
+    calls = count_existence_walks(monkeypatch)
+    spec, params, seed_base = perfbench_workloads()["planted-sets"]
+    params = SearchParams(**params)
+    pairs = 0
+    for u in range(16):
+        ds, _ = generate_planted(PlantedSpec(seed=seed_base + u, **spec))
+        pairs += len(list(enumerate_pairs(ds, params)))
+    assert calls == [] and pairs > 16 * 100
+
+
+def test_partner_bits_answer_coverage_tests(monkeypatch):
+    # A reported left interval [i, j]_x needs quorum - 1 partner strings: the
+    # right strings of its reported pairs plus strings before x. When fewer
+    # existence walks ran at (x, i, j) than strings before x were needed, the
+    # partner bits counted the others. These are the cases of
+    # test_enumerate_pairs_grouped_matches_oracle, so it checks the bits.
+    calls = count_existence_walks(monkeypatch)
+    answered = 0
+    for seed in range(60):
+        ds = random_instance(seed)
+        for delta in (0, 1, 2):
+            for min_size in (1, 2, 3):
+                for quorum in range(3, len(ds) + 1):
+                    params = SearchParams(delta=delta, quorum=quorum, min_size=min_size)
+                    calls.clear()
+                    got = list(enumerate_pairs(ds, params))
+                    later = defaultdict(set)
+                    for p in got:
+                        later[p.left].add(p.right.string_id)
+                    walks = Counter(calls)
+                    for left, strings in later.items():
+                        x = ds.index_of(left.string_id)
+                        answered += walks[x, left.i, left.j] < quorum - 1 - len(strings)
+    assert answered > 0
 
 
 def test_enumerate_pairs_min_size_lookahead_skips_units(monkeypatch):
@@ -390,7 +439,7 @@ def test_enumerate_pairs_min_size_lookahead_skips_units(monkeypatch):
 
         monkeypatch.setattr(awci.sweep, "candidate_right_bounds", counting)
         params = SearchParams(delta=1, quorum=quorum, min_size=4)
-        expected = grouped_oracle(ds, params)
+        expected = brute_force_grouped_pairs(ds, params)
         assert list(enumerate_pairs(ds, params)) == expected
         assert units == [(0, 4), (1, 1), (1, 2)]
         assert expected
@@ -413,7 +462,7 @@ def test_quorum_2_bounds_only_strings_after_the_reference(monkeypatch):
             for delta in (0, 1, 2):
                 for min_size in (1, 2, 3, 4):
                     params = SearchParams(delta=delta, quorum=2, min_size=min_size)
-                    expected = grouped_oracle(ds, params)
+                    expected = brute_force_grouped_pairs(ds, params)
                     assert list(enumerate_pairs(ds, params)) == expected, (seed, params)
                     nonempty += bool(expected)
     assert calls and all(y > x for x, y in calls)
@@ -438,7 +487,7 @@ def test_unit_without_live_strings_after_the_reference_is_not_bounded(monkeypatc
 
     monkeypatch.setattr(awci.sweep, "candidate_right_bounds", counting)
     params = SearchParams(delta=0, quorum=3, min_size=3)
-    expected = grouped_oracle(ds, params)
+    expected = brute_force_grouped_pairs(ds, params)
     assert list(enumerate_pairs(ds, params)) == expected != []
     # S:2-3 and T:2-3 end before i + min_size - 1
     assert units == [(0, 1), (1, 1)]
@@ -454,7 +503,7 @@ def test_enumerate_pairs_grouped_matches_oracle_with_breaks_and_min_size():
             for min_size in (3, 4, 5):
                 for quorum in range(2, len(ds) + 1):
                     params = SearchParams(delta=delta, quorum=quorum, min_size=min_size)
-                    expected = grouped_oracle(ds, params)
+                    expected = brute_force_grouped_pairs(ds, params)
                     assert list(enumerate_pairs(ds, params)) == expected, (seed, params)
                     cases += 1
                     nonempty += bool(expected)
