@@ -1,15 +1,17 @@
 """From enumerated interval pairs to maximal closed interval sets.
 
 Pairs become an undirected graph (vertices are intervals, edges are reported
-pairs). Vertices that cannot reach the quorum are dropped, and vertices that
-no closed set can hold may be pruned; both drops run in rounds, each round
+pairs). Vertices that cannot reach the quorum are dropped, then vertices that
+no closed set can hold are pruned; both drops run in rounds, each round
 re-checking only the live neighbours of the vertices the round before
 dropped. Maximal cliques are enumerated by one pivoted Bron-Kerbosch run
-over the whole graph, and each is peeled to its closed core with per-vertex
-extension masks. Both steps are exact because a member extendable in a set
-stays extendable in every subset holding it. Reported sets are the cores not
-contained in another reported core, found with one bitmask per vertex of the
-cores holding it.
+over the whole graph, and each is peeled to its closed core. The prune and
+the peel ask one question of one table, `miss_lists`: a vertex is extendable
+among a set of its neighbours when, at one of its adjacent positions, none
+of them misses the position. Both steps are exact because a member
+extendable in a set stays extendable in every subset holding it. Reported
+sets are the cores not contained in another reported core, found with one
+bitmask per vertex of the cores holding it.
 """
 from __future__ import annotations
 
@@ -89,15 +91,15 @@ def build_graph(pairs: Iterable[AwciPair], dataset: Dataset,
     string_index = graph.string_index
     need = params.quorum - 1
 
-    def infeasible(v: int, dead: list[bool]) -> bool:
-        return len({string_index[u] for u in adj[v] if not dead[u]}) < need
+    def infeasible(v: int, live: set[int]) -> bool:
+        return len({string_index[u] for u in adj[v] if u in live}) < need
 
     return _drop_to_fixpoint(graph, infeasible)
 
 
 def _drop_to_fixpoint(graph: AwciGraph,
-                      drop: Callable[[int, list[bool]], bool]) -> AwciGraph:
-    """Drop each vertex v with drop(v, dead), dead[u] telling whether u is
+                      drop: Callable[[int, set[int]], bool]) -> AwciGraph:
+    """Drop each vertex v with drop(v, live), `live` holding the vertices not
     dropped yet, until no vertex left qualifies.
 
     Runs in rounds: the first checks every vertex, each later one only the
@@ -108,46 +110,63 @@ def _drop_to_fixpoint(graph: AwciGraph,
     was dropped, else one subgraph of the rest.
     """
     adj = graph.adj
-    dead = [False] * len(graph)
+    live = set(range(len(graph)))
     check: Collection[int] = range(len(graph))
     while check:
         dropped = []
         for v in check:
-            if not dead[v] and drop(v, dead):
-                dead[v] = True
+            if drop(v, live):
+                live.discard(v)
                 dropped.append(v)
-        check = {u for v in dropped for u in adj[v] if not dead[u]}
-    if True not in dead:
+        check = {u for v in dropped for u in adj[v] if u in live}
+    if len(live) == len(graph):
         return graph
-    return graph.subgraph([v for v, d in enumerate(dead) if not d])
+    return graph.subgraph(sorted(live))
+
+
+def miss_lists(graph: AwciGraph) -> list[list[list[int]]]:
+    """Per vertex, one list of neighbours for each adjacent in-contig position.
+
+    For v = [i, j] on S and p in {i-1, j+1} inside S and v's contig, the list
+    holds every neighbour u whose character set misses S[p]. Positions off
+    the string or across a contig break get no list. Neighbours lie on other
+    strings, so the test runs on `Dataset.shared_masks`: S[p]'s mask against
+    the OR of u's masks; a position with mask 0 misses every neighbour.
+    """
+    strings, shared_masks = graph.dataset.strings, graph.dataset.shared_masks
+    char_masks = [reduce(or_, shared_masks[x][iv.i:iv.j + 1])
+                  for x, iv in zip(graph.string_index, graph.vertices)]
+    out = []
+    for x, (_, i, j), nbrs in zip(graph.string_index, graph.vertices, graph.adj):
+        sm = shared_masks[x]
+        lo, hi = strings[x].contig_of[i]
+        out.append([[u for u in nbrs if not sm[p] & char_masks[u]] if sm[p] else list(nbrs)
+                    for p in (i - 1, j + 1) if lo <= p <= hi])
+    return out
+
+
+def _extendable(lists: list[list[int]], present: set[int]) -> bool:
+    """Whether a vertex with these `miss_lists` is extendable among the
+    neighbours in `present`: at some adjacent position none of them misses
+    it, i.e. that position's list is disjoint from `present`."""
+    for m in lists:
+        if present.isdisjoint(m):
+            return True
+    return False
 
 
 def prune_dominated_vertices(graph: AwciGraph) -> AwciGraph:
     """Drop, to a fixpoint, every vertex that no closed set can hold.
 
-    A vertex v is dropped when, at one of its adjacent in-contig positions,
-    no remaining neighbour misses the position: its extension mask there
-    covers all of them. Every other member of a clique holding v is such a
-    neighbour, so v is extendable in that clique and the clique is not
-    closed; dropping v changes no output. Each vertex keeps, per position,
-    the list of its neighbours whose shared-character mask misses that
-    position (all of them where the position's mask is 0), and goes once one
-    of its lists holds only dropped vertices. Dropping a vertex only shrinks
-    its neighbours' neighbourhoods, so a droppable vertex stays droppable.
+    A vertex v is dropped when it is extendable among its remaining
+    neighbours (`_extendable` over its `miss_lists`). Every other member of a
+    clique holding v is such a neighbour, so v is extendable in that clique
+    and the clique is not closed; dropping v changes no output. Dropping a
+    vertex only shrinks its neighbours' neighbourhoods, so a droppable vertex
+    stays droppable.
     """
-    char_masks = _interval_masks(graph)
-    missers = [[[u for u in nbrs if not pm & char_masks[u]] if pm else list(nbrs)
-                for pm in sides]
-               for nbrs, sides in zip(graph.adj, _side_masks(graph))]
-
-    def dominated(v: int, dead: list[bool]) -> bool:
-        is_dead = dead.__getitem__
-        for m in missers[v]:
-            if all(map(is_dead, m)):
-                return True
-        return False
-
-    return _drop_to_fixpoint(graph, dominated)
+    missers = miss_lists(graph)
+    return _drop_to_fixpoint(graph, lambda v, live: _extendable(missers[v], live))
 
 
 def _maximal_cliques(graph: AwciGraph, guard: int) -> list[tuple[int, ...]]:
@@ -176,61 +195,23 @@ def _maximal_cliques(graph: AwciGraph, guard: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _interval_masks(graph: AwciGraph) -> list[int]:
-    """Per vertex, the OR of the shared-character masks of its interval."""
-    shared_masks = graph.dataset.shared_masks
-    return [reduce(or_, shared_masks[x][iv.i:iv.j + 1])
-            for x, iv in zip(graph.string_index, graph.vertices)]
-
-
-def _side_masks(graph: AwciGraph) -> list[list[int]]:
-    """Per vertex v = [i, j] on S, the shared-character mask of each p in
-    {i-1, j+1} inside S and v's contig; positions off the string or across a
-    contig break are left out."""
-    strings, shared_masks = graph.dataset.strings, graph.dataset.shared_masks
-    out = []
-    for x, (_, i, j) in zip(graph.string_index, graph.vertices):
-        sm = shared_masks[x]
-        lo, hi = strings[x].contig_of[i]
-        out.append([sm[p] for p in (i - 1, j + 1) if lo <= p <= hi])
-    return out
-
-
-def extension_masks(graph: AwciGraph) -> list[tuple[int, ...]]:
-    """Per vertex, one neighbour bitmask for each adjacent in-contig position.
-
-    For v = [i, j] on S and p in {i-1, j+1} inside S and v's contig, bit u is
-    set for every neighbour u whose character set meets S[p]. Positions off
-    the string or across a contig break get no mask. Neighbours lie on other
-    strings, so the test runs on `Dataset.shared_masks`: S[p]'s mask against
-    the OR of u's masks; a position with mask 0 meets no neighbour.
-    """
-    char_masks = _interval_masks(graph)
-    return [tuple(sum(1 << u for u in adj if pm & char_masks[u]) if pm else 0
-                  for pm in sides)
-            for adj, sides in zip(graph.adj, _side_masks(graph))]
-
-
-def closed_core(masks: list[tuple[int, ...]],
+def closed_core(missers: list[list[list[int]]],
                 clique: Sequence[int]) -> tuple[int, ...]:
-    """The one maximal closed sub-clique of a clique of the graph `masks` were
-    built on, in the clique's order; the clique is closed iff it is returned.
+    """The one maximal closed sub-clique of a clique of the graph `missers`
+    (its `miss_lists`) were built on, in the clique's order; the clique is
+    closed iff it is returned.
 
-    A member v is extendable at an adjacent position iff every other member,
-    all of them neighbours of v, is in that position's mask; this agrees with
-    `oracle.is_closed_set`. A member extendable in a set stays extendable in
-    every subset holding it, so extendable members are removed until none is
-    left: no closed sub-clique holds a removed member, and what is left is
-    closed.
+    Every other member of the clique is a neighbour of each member v, so v is
+    extendable in it iff `_extendable` over v's lists and the members; this
+    agrees with `oracle.is_closed_set`. A member extendable in a set stays
+    extendable in every subset holding it, so extendable members are removed
+    until none is left: no closed sub-clique holds a removed member, and what
+    is left is closed.
     """
     core = list(clique)
     while True:
-        members = sum(1 << v for v in core)
-        kept = []
-        for v in core:
-            others = members ^ (1 << v)
-            if not any(others & mask == others for mask in masks[v]):
-                kept.append(v)
+        members = set(core)
+        kept = [v for v in core if not _extendable(missers[v], members)]
         if len(kept) == len(core):
             return tuple(core)
         core = kept
@@ -245,10 +226,10 @@ def maximal_closed_sets(graph: AwciGraph, params: SearchParams) -> list[AwciSet]
     contained in no other such core.
     """
     dataset = graph.dataset
-    masks = extension_masks(graph)
+    missers = miss_lists(graph)
     candidates: set[tuple[int, ...]] = set()
     for clique in _maximal_cliques(graph, CLIQUE_GUARD):
-        core = closed_core(masks, clique)
+        core = closed_core(missers, clique)
         if len(core) >= params.quorum:
             candidates.add(core)
 
@@ -274,10 +255,8 @@ def _uncontained(cores: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
             if reduce(and_, map(holders.__getitem__, core)) == 1 << k]
 
 
-def assemble(pairs: Iterable[AwciPair], dataset: Dataset, params: SearchParams, *,
-             prune: bool = True) -> list[AwciSet]:
+def assemble(pairs: Iterable[AwciPair], dataset: Dataset,
+             params: SearchParams) -> list[AwciSet]:
     """Full pipeline from a pair stream to reported maximal closed sets."""
-    graph = build_graph(pairs, dataset, params)
-    if prune:
-        graph = prune_dominated_vertices(graph)
+    graph = prune_dominated_vertices(build_graph(pairs, dataset, params))
     return maximal_closed_sets(graph, params)

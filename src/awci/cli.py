@@ -1,6 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage error, 2 validation/format error,
+Files named on the command line are read and written as UTF-8.
+
+Exit codes: 0 success, 1 usage error, 2 validation, format or i/o error
+(input that is not UTF-8 included) or an `awci verify` mismatch,
 3 resource guard exceeded.
 """
 from __future__ import annotations
@@ -9,6 +12,7 @@ import argparse
 import io
 import sys
 from contextlib import contextmanager
+from typing import IO, Any, Callable
 
 from .assemble import assemble
 from .ioformats import (
@@ -112,14 +116,24 @@ def open_out(path: str):
     if path == "-":
         yield sys.stdout
     else:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             yield fh
+
+
+def read_input(path: str, parse: Callable[[IO[str], str], Any]) -> Any:
+    """`parse(fh, path)` over the file at `path`, read as UTF-8; bytes that
+    do not decode raise FormatError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh, path)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#04x} "
+                          f"({exc.reason})") from exc
 
 
 def _search_input(args) -> tuple[Dataset, SearchParams]:
     """The dataset of `args.ist` and the search parameters of the flags."""
-    with open(args.ist) as fh:
-        dataset = parse_ist(fh, filename=args.ist)
+    dataset = read_input(args.ist, parse_ist)
     if args.quorum > len(dataset):
         raise UsageError(f"quorum {args.quorum} exceeds the {len(dataset)} "
                          "strings in the dataset")
@@ -141,12 +155,8 @@ def cmd_ingest(args) -> int:
             raise UsageError(f"--genes names genome {genome!r} twice: "
                              f"{specs[genome]} and {path}")
         specs[genome] = path
-    genomes = {}
-    for genome, path in specs.items():
-        with open(path) as fh:
-            genomes[genome] = parse_gene_order(fh, path)
-    with open(args.homology) as fh:
-        records = parse_homology(fh, args.homology)
+    genomes = {genome: read_input(path, parse_gene_order) for genome, path in specs.items()}
+    records = read_input(args.homology, parse_homology)
     dataset = homology_to_strings(records, genomes, args.threshold)
     # encode in full first, so an unencodable label leaves no partial file
     buf = io.StringIO()
@@ -180,9 +190,9 @@ def cmd_gen(args) -> int:
                        background_sharing=args.background_sharing,
                        seed=args.seed)
     dataset, truth = generate_planted(spec)
-    with open(args.out + ".ist", "w") as fh:
+    with open_out(args.out + ".ist") as fh:
         write_ist(dataset, fh)
-    with open(args.out + ".truth", "w") as fh:
+    with open_out(args.out + ".truth") as fh:
         write_sets(truth, fh, delta=spec.planted_delta, quorum=spec.m)
     return EXIT_OK
 

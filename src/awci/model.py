@@ -94,15 +94,17 @@ class IndeterminateString:
         if not all(positions):
             idx = positions.index(frozenset())
             raise ValidationError(f"string {id!r}: empty set at position {idx + 1}")
-        breaks = frozenset(int(b) for b in contig_breaks)
+        breaks = tuple(contig_breaks)
         n = len(positions)
         for b in breaks:
+            if type(b) is not int:  # bool too; int() would read 1.7 or "2" silently
+                raise ValidationError(f"string {id!r}: contig break {b!r} is not an int")
             if not 1 <= b <= n - 1:
                 raise ValidationError(f"string {id!r}: contig break {b} out of range [1, {n - 1}]")
         self.id = id
         self.positions = positions
-        self.contig_breaks = breaks
-        starts = [1] + [b + 1 for b in sorted(breaks)]
+        self.contig_breaks = frozenset(breaks)
+        starts = [1] + [b + 1 for b in sorted(self.contig_breaks)]
         ends = [s - 1 for s in starts[1:]] + [n]
         self.contig_of = (None, *chain.from_iterable(
             repeat(c, c[1] - c[0] + 1) for c in zip(starts, ends)))

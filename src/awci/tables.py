@@ -79,7 +79,9 @@ class PairTables:
                     bits = by[c]
                     hit |= bx[c]
                     for p in ox[c]:
-                        masks[p] |= bits
+                        # a first hit keeps the character's own int: the
+                        # one-bit masks against S_y are shared, not copied
+                        masks[p] = masks[p] | bits if masks[p] else bits
                         at[p] |= y_bit
                 self.hitmask[x][y] = masks
                 self.nohit[x][y] = window(1, n) & ~hit

@@ -11,8 +11,8 @@ from awci.assemble import (
     assemble,
     build_graph,
     closed_core,
-    extension_masks,
     maximal_closed_sets,
+    miss_lists,
     prune_dominated_vertices,
 )
 from awci.model import (AnchoredInterval, AwciPair, RangeError, ResourceLimitError,
@@ -162,7 +162,7 @@ def test_prune_runs_to_fixpoint():
     w = AnchoredInterval("T", 1, 8)
     v = AnchoredInterval("S", 1, 8)
     g = graph_of(ds, [z, w, v], [(2, 0), (2, 1)])
-    assert extension_masks(g)[2] == (0b010,)
+    assert miss_lists(g)[2] == [[0]]
     assert [str(x) for x in prune_dominated_vertices(g).vertices] == ["T:1-8"]
 
 
@@ -181,8 +181,8 @@ def test_prune_drops_no_member_of_a_closed_set():
                     prune_dominated_vertices(graph).vertices)
                 expected = brute_force_maximal_closed_sets(ds, params)
                 assert not pruned & {m for s in expected for m in s.members}
-                assert assemble(pairs, ds, params, prune=True) == \
-                    assemble(pairs, ds, params, prune=False) == expected
+                assert assemble(pairs, ds, params) == \
+                    maximal_closed_sets(graph, params) == expected
                 dropped += len(pruned)
     assert dropped > 0
 
@@ -261,8 +261,7 @@ def test_peel_past_two_extendable_members():
                       common_size=2,
                       indel_total=0, size_left=2, size_right=2)
              for u, v in edges]
-    for prune in (True, False):
-        assert assemble(pairs, ds, params, prune=prune) == sets
+    assert assemble(pairs, ds, params) == sets
 
 
 def test_clique_guard(demo, monkeypatch):
@@ -291,8 +290,8 @@ def test_prune_does_not_change_output():
         ds = random_instance(seed, max_n=10)
         params = SearchParams(delta=1, quorum=2, min_size=1)
         pairs = list(enumerate_pairs(ds, params))
-        assert assemble(pairs, ds, params, prune=True) == \
-            assemble(pairs, ds, params, prune=False)
+        assert assemble(pairs, ds, params) == \
+            maximal_closed_sets(build_graph(pairs, ds, params), params)
 
 
 def mask_vs_oracle(ds, params):
@@ -301,12 +300,12 @@ def mask_vs_oracle(ds, params):
     boundary kinds ("string_end", "contig_break") that some compared member
     touches."""
     g = build_graph(enumerate_pairs(ds, params), ds, params)
-    masks = extension_masks(g)
+    missers = miss_lists(g)
     kinds = set()
     for clique in _maximal_cliques(g, 100_000):
         if len(clique) < params.quorum:
             continue
-        core = closed_core(masks, clique)
+        core = closed_core(missers, clique)
         members = [g.vertices[v] for v in clique]
         assert is_closed_set(ds, [g.vertices[v] for v in core]), members
         assert (core == clique) == is_closed_set(ds, members), members
@@ -337,16 +336,18 @@ def test_extension_masks_non_hereditary_witness(witness):
     g = build_graph(enumerate_pairs(witness, params), witness, params)
     clique = tuple(next(v for v, iv in enumerate(g.vertices) if str(iv) == name)
                    for name in WITNESS_CLOSED)
-    masks = extension_masks(g)
-    assert closed_core(masks, clique) == clique
-    assert closed_core(masks, clique[:2]) == clique[1:2]
+    missers = miss_lists(g)
+    assert closed_core(missers, clique) == clique
+    assert closed_core(missers, clique[:2]) == clique[1:2]
     assert WITNESS_CLOSED in {tuple(str(m) for m in s.members)
                               for s in assemble(enumerate_pairs(witness, params),
                                                 witness, params)}
 
 
 def literal_extension_masks(graph):
-    """`extension_masks` by its definition, on frozensets."""
+    """Per vertex, one neighbour bitmask for each adjacent in-contig
+    position, by its definition on frozensets: bit u is set for every
+    neighbour u whose character set meets the position."""
     ds = graph.dataset
     char_sets = [char_set(ds[iv.string_id], iv.i, iv.j) for iv in graph.vertices]
     out = []
@@ -359,19 +360,30 @@ def literal_extension_masks(graph):
     return out
 
 
+def literal_miss_lists(graph):
+    """`miss_lists` from `literal_extension_masks`, each list sorted: the
+    neighbours outside the position's mask."""
+    return [[sorted(u for u in graph.adj[v] if not mask >> u & 1) for mask in masks]
+            for v, masks in enumerate(literal_extension_masks(graph))]
+
+
+def sorted_miss_lists(graph):
+    return [[sorted(m) for m in lists] for lists in miss_lists(graph)]
+
+
 def test_extension_masks_match_char_sets():
     params = SearchParams(delta=1, quorum=2, min_size=1)
     for seed in range(20):
         ds = random_instance(seed, break_prob=0.3)
         g = build_graph(enumerate_pairs(ds, params), ds, params)
-        assert extension_masks(g) == literal_extension_masks(g), seed
+        assert sorted_miss_lists(g) == literal_miss_lists(g), seed
     # private characters beside the vertices: those positions meet nothing
     ds = make_dataset(("S", [["x"], ["a"], ["b"], ["y"]]), ("T", [["a"], ["b"], ["a"]]))
     g = build_graph(enumerate_pairs(ds, params), ds, params)
-    masks = extension_masks(g)
-    assert masks == literal_extension_masks(g)
+    missers = sorted_miss_lists(g)
+    assert missers == literal_miss_lists(g)
     s23 = g.vertices.index(AnchoredInterval("S", 2, 3))
-    assert masks[s23] == (0, 0)
+    assert missers[s23] == [sorted(g.adj[s23])] * 2
 
 
 def literal_prune(graph):

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,6 +53,50 @@ def test_bad_input_is_format_error(tmp_path, capsys):
     assert cli.main(["pairs", str(bad)]) == 2
     assert "error" in capsys.readouterr().err
     assert cli.main(["pairs", str(tmp_path / "missing.ist")]) == 2
+
+
+@pytest.mark.parametrize("command", ["pairs", "sets"])
+def test_undecodable_ist_is_format_error(tmp_path, capsys, command):
+    # byte 0xff starts no UTF-8 sequence; decoding it used to escape `main`
+    # as a UnicodeDecodeError traceback with exit 1, the usage-error code
+    bad = tmp_path / "bad.ist"
+    bad.write_bytes(b">S1\na\n\xff b\n>S2\na\n")
+    assert cli.main([command, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "UTF-8" in err and "0xff" in err
+
+
+@pytest.mark.parametrize("bad", ["ga.genes", "hits.tsv"])
+def test_ingest_undecodable_input_is_format_error(tmp_path, capsys, bad):
+    args = write_ingest_fixture(tmp_path)
+    path = tmp_path / bad
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    out = tmp_path / "out.ist"
+    assert cli.main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "UTF-8" in err
+    assert not out.exists()
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    # under the C locale, with its coercion and UTF-8 mode off, open()
+    # defaults to ASCII: reading a non-ASCII string id once failed there
+    ist = tmp_path / "u.ist"
+    ist.write_bytes(b">S\xc3\xa9\na\nb\n>T\na\nb\n")
+    out = tmp_path / "u.pairs"
+    src = str(Path(cli.__file__).parent.parent)
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-m", "awci.cli", "pairs", str(ist),
+                          "--min-size", "2", "--out", str(out)],
+                         env=env, capture_output=True)
+    assert run.returncode == 0 and b"Traceback" not in run.stderr, run.stderr
+    assert out.read_bytes().splitlines()[2:] == [b"S\xc3\xa9\t1\t2\tT\t1\t2\t0\t2\t2\t2"]
+    ist.write_bytes(b">S1\na\n\xff b\n>S2\na\n")
+    run = subprocess.run([sys.executable, "-m", "awci.cli", "pairs", str(ist)],
+                         env=env, capture_output=True)
+    assert run.returncode == 2 and b"Traceback" not in run.stderr, run.stderr
+    assert str(ist).encode() in run.stderr
 
 
 def test_verify_command(capsys):

@@ -97,6 +97,18 @@ def test_contig_break_out_of_range():
         build_string(al, "S", [["a"], ["b"]], [0])
 
 
+@pytest.mark.parametrize("brk", [1.7, 1.0, True, "2"])
+def test_contig_break_must_be_an_int(brk):
+    # int() once stored 1.7 and True as break 1 and "2" as break 2
+    positions = [frozenset({1}), frozenset({2}), frozenset({3})]
+    with pytest.raises(ValidationError, match="not an int"):
+        IndeterminateString("S", positions, [brk])
+    with pytest.raises(ValidationError, match="not an int"):
+        IndeterminateString("S", positions, [2, brk])
+    s = IndeterminateString("S", positions, [2, 1, 2])  # a repeated break counts once
+    assert s.contig_breaks == {1, 2} and s.contig_of[1:] == ((1, 1), (2, 2), (3, 3))
+
+
 def test_char_set_demo(demo):
     assert labels_of(demo, char_set(demo["S1"], 1, 2)) == {"g", "b", "p"}
     assert labels_of(demo, char_set(demo["S3"], 1, 8)) == \

@@ -165,3 +165,15 @@ def test_build_requires_two_strings():
     ds = make_dataset(("S", [["a"]]))
     with pytest.raises(AwciError):
         build_pos_tables(ds)
+
+
+def test_one_character_hit_masks_share_one_int():
+    # S positions 1 and 3 hold only a, whose occurrences in T sit at 10 and
+    # 12: bit values past 256, which CPython does not cache, so two separately
+    # built masks would be two objects
+    ds = make_dataset(("S", [["a"], ["b"], ["a"], ["a", "b"]]),
+                      ("T", [[f"t{k}"] for k in range(1, 10)] + [["a"], ["b"], ["a"]]))
+    masks = build_pos_tables(ds).hitmask[0][1]
+    assert masks[1] == masks[3] == (1 << 10) | (1 << 12)
+    assert masks[1] is masks[3]
+    assert masks[4] == masks[1] | 1 << 11
