@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Files named on the command line are read and written as UTF-8.
+Files named on the command line and standard output are read and written
+as UTF-8; a byte-order mark at the start of an input file is ignored.
 
 Exit codes: 0 success, 1 usage error, 2 validation, format or i/o error
 (input that is not UTF-8 included) or an `awci verify` mismatch,
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 from contextlib import contextmanager
 from typing import IO, Any, Callable
@@ -113,18 +115,34 @@ def build_parser() -> Parser:
 
 @contextmanager
 def open_out(path: str):
+    """The file at `path`, or standard output for "-", written as UTF-8."""
     if path == "-":
-        yield sys.stdout
+        sys.stdout.flush()
+        out = io.TextIOWrapper(sys.stdout.buffer, encoding="utf-8")
+        try:
+            yield out
+        finally:
+            out.detach()  # flushes, and leaves standard output open
     else:
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
 
 
-def read_input(path: str, parse: Callable[[IO[str], str], Any]) -> Any:
-    """`parse(fh, path)` over the file at `path`, read as UTF-8; bytes that
-    do not decode raise FormatError naming the file."""
+def argv_text(arg: str) -> str:
+    """A command-line argument read as UTF-8, whatever encoding the locale
+    decoded it with; an argument that is not UTF-8 is a usage error."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        return os.fsencode(arg).decode("utf-8")
+    except UnicodeDecodeError:
+        raise UsageError(f"{arg!r} is not UTF-8 text") from None
+
+
+def read_input(path: str, parse: Callable[[IO[str], str], Any]) -> Any:
+    """`parse(fh, path)` over the file at `path`, read as UTF-8 without a
+    leading byte-order mark; bytes that do not decode raise FormatError
+    naming the file."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
             return parse(fh, path)
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#04x} "
@@ -147,6 +165,7 @@ def cmd_ingest(args) -> int:
         genome, _, path = spec.partition("=")
         if not genome or not path:
             raise UsageError(f"--genes expects GENOME=FILE, got {spec!r}")
+        genome = argv_text(genome)  # a string id of the output
         if genome[0] in "#%":
             # parse_homology skips a hit line starting with such a name
             raise ValidationError(f"genome name {genome!r} begins with "

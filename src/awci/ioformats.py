@@ -40,7 +40,8 @@ SETS_HEADER = "#awci-sets v1"
 
 
 def parse_ist(fh: IO[str], filename: str = "<ist>") -> Dataset:
-    """Parse an IST file into a dataset, with line-accurate errors.
+    """Parse an IST file into a dataset, with line-accurate errors; an error
+    in a string as a whole names the line of its '>' header.
 
     A '#' line is a contig break and needs a position on each side: a '#'
     before the first position, directly after another '#' or after the last
@@ -52,24 +53,23 @@ def parse_ist(fh: IO[str], filename: str = "<ist>") -> Dataset:
     cur_id: str | None = None
     cur_positions: list[list[str]] = []
     cur_breaks: list[int] = []
-    break_line = 0
+    break_line = header_line = 0
 
-    def flush(lineno: int) -> None:
+    def flush() -> None:
         nonlocal cur_id, cur_positions, cur_breaks
         if cur_id is None:
             return
         if not cur_positions:
-            raise FormatError(f"{filename}:{lineno}: string {cur_id!r} has no positions")
+            raise FormatError(f"{filename}:{header_line}: string {cur_id!r} has no positions")
         if cur_breaks and cur_breaks[-1] == len(cur_positions):
             raise FormatError(f"{filename}:{break_line}: contig break after the last "
                               f"position of string {cur_id!r}")
         try:
             strings.append(build_string(alphabet, cur_id, cur_positions, cur_breaks))
         except ValidationError as exc:
-            raise FormatError(f"{filename}:{lineno}: {exc}") from exc
+            raise FormatError(f"{filename}:{header_line}: {exc}") from exc
         cur_id, cur_positions, cur_breaks = None, [], []
 
-    lineno = 0
     for lineno, raw in enumerate(fh, start=1):
         labels = raw.split()
         if not labels:
@@ -78,7 +78,7 @@ def parse_ist(fh: IO[str], filename: str = "<ist>") -> Dataset:
         if lead == "%":
             continue
         if lead == ">":
-            flush(lineno)
+            flush()
             sid = raw.strip()[1:].strip()
             if not sid:
                 raise FormatError(f"{filename}:{lineno}: missing string id after '>'")
@@ -87,7 +87,7 @@ def parse_ist(fh: IO[str], filename: str = "<ist>") -> Dataset:
             if sid in seen:
                 raise FormatError(f"{filename}:{lineno}: duplicate string id {sid!r}")
             seen.add(sid)
-            cur_id = sid
+            cur_id, header_line = sid, lineno
             continue
         if cur_id is None:
             raise FormatError(f"{filename}:{lineno}: position line before any '>' header")
@@ -101,7 +101,7 @@ def parse_ist(fh: IO[str], filename: str = "<ist>") -> Dataset:
             break_line = lineno
             continue
         cur_positions.append(labels)
-    flush(lineno)
+    flush()
     if not strings:
         raise FormatError(f"{filename}: no strings found")
     try:

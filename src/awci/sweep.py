@@ -17,8 +17,8 @@ why each is exact.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import accumulate
-from operator import or_
+from itertools import accumulate, compress, groupby
+from operator import itemgetter, or_
 from typing import Iterator
 
 from .model import AnchoredInterval, AwciError, AwciPair, Dataset, SearchParams, ValidationError
@@ -67,7 +67,7 @@ def collect_anchors(tables: PairTables, x: int, y: int, i: int) -> list[int]:
 
 def enumerate_trans_intervals(tables: PairTables, x: int, i: int, jmin: int,
                               jend: int, y: int, params: SearchParams
-                              ) -> list[tuple[int, int, int, int, int]]:
+                              ) -> list[tuple[int, int, int, int, int, int]]:
     """All intervals [k, l] of S_y forming a reportable pair with [i, j]_x, for
     every right bound j in [jmin, jend], in one walk.
 
@@ -84,21 +84,22 @@ def enumerate_trans_intervals(tables: PairTables, x: int, i: int, jmin: int,
     The hits of a position of S_y inside [i, j] are its hit mask ANDed with
     the window of bits i..j. A candidate's state is two ints: the union `u`
     of its positions' hits in W and the count `d` of its positions that hit
-    nothing in W. Each result is (j, k, l, covered, d_j) with covered =
-    |u & window(i, j)|: `covered` reference positions of [i, j] are hit from
-    [k, l] and `d_j` positions of [k, l] hit nothing in [i, j]. A position
-    meets the pair's common set iff it hits some position of the other
-    interval, so these are the non-indel count of the left side and the
-    indel count of the right.
+    nothing in W. Each result is (j, y, k, l, covered, d_j), sorted, with y
+    the walked string and covered = |u & window(i, j)|: `covered` reference
+    positions of [i, j] are hit from [k, l] and `d_j` positions of [k, l] hit
+    nothing in [i, j]. A position meets the pair's common set iff it hits
+    some position of the other interval, so these are the non-indel count of
+    the left side and the indel count of the right.
     """
     return sorted(_trans_walk(tables, x, i, jmin, jend, y, params))
 
 
 def _trans_walk(tables: PairTables, x: int, i: int, jmin: int, jend: int,
                 y: int, params: SearchParams
-                ) -> Iterator[tuple[int, int, int, int, int]]:
-    """The results of `enumerate_trans_intervals` in walk order, one at a
-    time, so that an existence test (jmin = jend) can stop at the first.
+                ) -> Iterator[tuple[int, int, int, int, int, int]]:
+    """The results (j, y, k, l, covered, d_j) of `enumerate_trans_intervals`
+    in walk order, one at a time, so that an existence test (jmin = jend) can
+    stop at the first.
 
     A candidate [k, l] visited over W pairs with [i, j]_x iff j is a bit of
     `u` (anchoring of j; i is anchored by construction, as the candidate
@@ -172,7 +173,7 @@ def _trans_walk(tables: PairTables, x: int, i: int, jmin: int, jend: int,
                         d_j = l - k + 1 - (reach[j - i] >> k
                                            & ((1 << (l - k + 1)) - 1)).bit_count()
                     if zeros + d_j <= delta:
-                        yield j, k, l, covered, d_j
+                        yield j, y, k, l, covered, d_j
 
 
 def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
@@ -195,10 +196,11 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
     only work that cannot yield a pair:
 
       * a unit with fewer than quorum - 1 other strings hitting i is never
-        run: `tables.strings_at[x][i]` holds those strings as one int, so the
-        unit list keeps only the (x, i) with enough bits set;
+        run: `tables.strings_at[x][i]` holds those strings as one int, so
+        units are taken only at its non-zero entries, and only those with
+        enough bits set run;
       * later-string admission: only strings after x are reported, so a unit
-        is listed only if one of them hits i, and stops before the ridge
+        runs only if one of them hits i, and stops before the ridge
         bound if the lookahead below leaves none of them live;
       * at quorum 2 one string after x is the quorum, so the unit drops the
         strings before x at once: no lookahead, ridge bound or coverage test
@@ -225,13 +227,14 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
         unit whose J is empty stops before any walk; any other J reaches jt;
       * work per (unit, string), not per right bound: each live string
         after x is walked once, by `enumerate_trans_intervals` over the
-        right bounds from max(i, jt) to the end of J, and its results are
-        grouped by j. The walk starts only at the positions of S_y hitting
-        i, as `ridge.filter_position` does: every interval pairing with
-        [i, j] holds one, each candidate is visited under the first of them
-        at or after k, and i is anchored by construction. A right bound j at
-        which no string after x has an interval is skipped, since only those
-        strings are reported;
+        right bounds from max(i, jt) to the end of J; the results of all of
+        them go into one list, sorted once and grouped by j (per j, strings
+        ascending, then each string's candidates in order). The walk starts
+        only at the positions of S_y hitting i, as `ridge.filter_position`
+        does: every interval pairing with [i, j] holds one, each candidate
+        is visited under the first of them at or after k, and i is anchored
+        by construction. A right bound j at which no string after x has an
+        interval is skipped, since only those strings are reported;
       * at quorum > 2 the strings before x count towards the quorum but are
         never reported, so at a right bound j that still lacks coverage they
         are tested, and only until the quorum is reached. Each emitted pair
@@ -293,27 +296,32 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
     shared_masks = dataset.shared_masks
     strings = dataset.strings
     record = quorum > 2
+    first = itemgetter(0)
 
     def add_interval(s: int, a: int, b: int) -> list:
         entry = intervals[s, a, b] = [AnchoredInterval(strings[s].id, a, b),
                                       reduce(or_, shared_masks[s][a:b + 1]), 0]
         return entry
 
-    def run_unit(unit: tuple[int, int]) -> list[AwciPair]:
-        x, i = unit
+    def run_unit(x: int, i: int) -> list[AwciPair]:
         jt = i + params.min_size - 1
         if jt > strings[x].contig_of[i][1]:
             return []
         nohit = tables.nohit[x]
         strings_at = tables.strings_at[x]
         w = window(i, jt)
-        hitting = set_bits(strings_at[i] if record else strings_at[i] & (-1 << x + 1))
+        rest = strings_at[i] if record else strings_at[i] & (-1 << x + 1)
         # how many strings hitting i may fail the lookahead, leaving quorum - 1
-        spare = len(hitting) - (quorum - 1)
+        spare = rest.bit_count() - (quorum - 1)
         live = []
-        for y in hitting:
+        live_mask = 0
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            y = low.bit_length() - 1
             if (nohit[y] & w).bit_count() <= params.delta:
                 live.append(y)
+                live_mask |= low
             elif (spare := spare - 1) < 0:
                 return []
         if live[-1] < x:  # no live string after x, so nothing to report
@@ -323,20 +331,20 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
             J = refine_bounds(tables, ridge_t, x, i, live, J, params)
         if not J:
             return []
-        live_mask = sum(1 << y for y in live)
         x_bit = 1 << x
         pairs: list[AwciPair] = []
-        # (y, walk result) of the reported strings, in string order, by j
-        found_at: dict[int, list[tuple[int, tuple[int, int, int, int, int]]]] = {}
-        for y in (y for y in live if y > x):
-            for found in enumerate_trans_intervals(tables, x, i, max(i, jt), J[-1],
-                                                   y, params):
-                found_at.setdefault(found[0], []).append((y, found))
-        for j in sorted(found_at):
-            entries = found_at[j]
+        # the walk results (j, y, k, l, covered, d_j) of the reported strings
+        found = []
+        for y in live:
+            if y > x:
+                found += enumerate_trans_intervals(tables, x, i, max(i, jt), J[-1], y, params)
+        found.sort()
+        for j, entries in groupby(found, first):
             left = intervals.get((x, i, j))
+            if record:  # the group is read twice
+                entries = list(entries)
             # at quorum 2 every entry's string, after x, is the whole quorum
-            if record and (coverage := len({y for y, _ in entries})) < quorum - 1:
+            if record and (coverage := len({e[1] for e in entries})) < quorum - 1:
                 # strings before x whose pairs with [i, j] were emitted count
                 # at once; the pair predicate is symmetric
                 known = left[2] if left is not None else 0
@@ -349,7 +357,7 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
                 if coverage < quorum - 1:
                     continue
             left_iv, left_mask, _ = left or add_interval(x, i, j)
-            for y, (_, k, l, covered, d) in entries:
+            for _, y, k, l, covered, d in entries:
                 right = intervals.get((y, k, l)) or add_interval(y, k, l)
                 if record:
                     right[2] |= x_bit
@@ -360,8 +368,10 @@ def enumerate_pairs(dataset: Dataset, params: SearchParams, *,
                     j - i + 1 - covered + d, covered, l - k + 1 - d)))
         return pairs
 
-    # index 0 of strings_at is an unused 0, and quorum >= 2 skips it
-    units = [(x, i) for x in range(m - 1) for i, at in enumerate(tables.strings_at[x])
-             if at.bit_count() >= quorum - 1 and at >> x + 1]
-    for unit in units:
-        yield from run_unit(unit)
+    # units start only at positions some other string hits (index 0 of
+    # strings_at is an unused 0)
+    for x in range(m - 1):
+        at = tables.strings_at[x]
+        for i, hitting in compress(enumerate(at), at):
+            if hitting.bit_count() >= quorum - 1 and hitting >> x + 1:
+                yield from run_unit(x, i)

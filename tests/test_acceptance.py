@@ -187,7 +187,8 @@ def test_criterion_5_incremental_test_exactness():
                             checked += 1
                             if make_pair(ds, a, b, params) is not None:
                                 v = judge_pair(ds, a, b, params.delta)
-                                expected.append((j, k, l, j - i + 1 - len(v.indel_left),
+                                expected.append((j, y, k, l,
+                                                 j - i + 1 - len(v.indel_left),
                                                  len(v.indel_right)))
                     reportable += len(expected)
                     got = enumerate_trans_intervals(tables, x, i, i, hi, y, params)

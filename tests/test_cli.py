@@ -1,3 +1,4 @@
+import io
 import os
 import subprocess
 import sys
@@ -6,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import awci.cli as cli
-from awci.ioformats import parse_sets, write_ist
+from awci.ioformats import (parse_gene_order, parse_homology, parse_ist, parse_sets,
+                            write_ist)
 from awci.model import AnchoredInterval, AwciSet, SearchParams
 from awci.oracle import brute_force_maximal_closed_sets
 from awci.sweep import enumerate_pairs
@@ -78,25 +80,84 @@ def test_ingest_undecodable_input_is_format_error(tmp_path, capsys, bad):
     assert not out.exists()
 
 
-def test_files_are_utf8_whatever_the_locale(tmp_path):
-    # under the C locale, with its coercion and UTF-8 mode off, open()
-    # defaults to ASCII: reading a non-ASCII string id once failed there
-    ist = tmp_path / "u.ist"
-    ist.write_bytes(b">S\xc3\xa9\na\nb\n>T\na\nb\n")
-    out = tmp_path / "u.pairs"
+def run_in_c_locale(args: list) -> subprocess.CompletedProcess:
+    """`awci ARGS` in a subprocess under the C locale with its coercion and
+    UTF-8 mode off, where open(), standard output and argv default to ASCII."""
     src = str(Path(cli.__file__).parent.parent)
     env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-m", "awci.cli", "pairs", str(ist),
-                          "--min-size", "2", "--out", str(out)],
-                         env=env, capture_output=True)
+    return subprocess.run([sys.executable, "-m", "awci.cli", *args],
+                          env=env, capture_output=True)
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    # reading a non-ASCII string id once failed under the C locale
+    ist = tmp_path / "u.ist"
+    ist.write_bytes(b">S\xc3\xa9\na\nb\n>T\na\nb\n")
+    out = tmp_path / "u.pairs"
+    run = run_in_c_locale(["pairs", str(ist), "--min-size", "2", "--out", str(out)])
     assert run.returncode == 0 and b"Traceback" not in run.stderr, run.stderr
     assert out.read_bytes().splitlines()[2:] == [b"S\xc3\xa9\t1\t2\tT\t1\t2\t0\t2\t2\t2"]
     ist.write_bytes(b">S1\na\n\xff b\n>S2\na\n")
-    run = subprocess.run([sys.executable, "-m", "awci.cli", "pairs", str(ist)],
-                         env=env, capture_output=True)
+    run = run_in_c_locale(["pairs", str(ist)])
     assert run.returncode == 2 and b"Traceback" not in run.stderr, run.stderr
     assert str(ist).encode() in run.stderr
+
+
+@pytest.mark.parametrize("command", ["pairs", "sets", "ingest"])
+def test_stdout_is_utf8_whatever_the_locale(tmp_path, capsys, command):
+    # without --out, a non-ASCII string id once stopped these commands with
+    # a UnicodeEncodeError traceback under the C locale; a genome name on the
+    # command line is read as UTF-8 too, so it matches the homology file's
+    ist = tmp_path / "u.ist"
+    ist.write_bytes(b">S\xc3\xa9\na\nb\n>T\na\nb\n")
+    (tmp_path / "ga.genes").write_text("g1\ng2\n")
+    (tmp_path / "gb.genes").write_text("h1\nh2\n")
+    (tmp_path / "hits.tsv").write_bytes(b"S\xc3\xa9\tg1\tT\th1\t1.0\n")
+    args = {"pairs": ["pairs", str(ist), "--min-size", "2"],
+            "sets": ["sets", str(ist), "--min-size", "2"],
+            "ingest": ["ingest", "--homology", str(tmp_path / "hits.tsv"),
+                       "--genes", "S\xe9=" + str(tmp_path / "ga.genes"),
+                       "--genes", "T=" + str(tmp_path / "gb.genes")]}[command]
+    expected = {"pairs": b"S\xc3\xa9\t1\t2\tT\t1\t2\t0\t2\t2\t2\n",
+                "sets": b"S\xc3\xa9:1-2 T:1-2\tclosed=1\tdelta=0\tquorum=2\n",
+                "ingest": b">S\xc3\xa9\nh0 p0.1\np0.2\n>T\nh0 p1.1\np1.2\n"}[command]
+    run = run_in_c_locale(args)
+    assert run.returncode == 0 and b"Traceback" not in run.stderr, run.stderr
+    assert expected in run.stdout
+    # in process, under capsys, the same bytes reach the captured stream
+    assert cli.main(args) == 0
+    assert expected.decode() in capsys.readouterr().out
+
+
+def test_ingest_genome_name_not_utf8_is_usage_error(tmp_path, capsys):
+    # argv bytes that are not UTF-8 reach Python as lone surrogates
+    args = write_ingest_fixture(tmp_path)
+    args += ["--genes", "G\udcff=" + str(tmp_path / "gb.genes")]
+    assert cli.main(args) == 1
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def ist_text(dataset) -> str:
+    buf = io.StringIO()
+    write_ist(dataset, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("parse, text, show", [
+    (parse_ist, ">S1\na b\n#\nc\n>S2\na\n", ist_text),
+    (parse_gene_order, "g1\n#\ng2\n", repr),
+    (parse_homology, "Ga\tg1\tGb\th1\t1.0\n", repr),
+], ids=["ist", "gene-order", "homology"])
+def test_leading_byte_order_mark_is_ignored(tmp_path, parse, text, show):
+    # a BOM once made the first line of an IST file a position before any
+    # header, and the first gene or genome name of the others an unknown name
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    got = show(cli.read_input(str(marked), parse))
+    assert got == show(cli.read_input(str(plain), parse))
+    assert "\ufeff" not in got
 
 
 def test_verify_command(capsys):

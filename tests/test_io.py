@@ -94,6 +94,18 @@ def test_ist_error_reports_line_number():
     assert ":2:" in str(exc.value)
 
 
+@pytest.mark.parametrize("text, line", [
+    (">S1\n% note\n\n>S2\na\n>S3\na\n", 1),
+    (">S1\na\n>S2\n% note\n\n", 3),
+], ids=["first", "last"])
+def test_ist_empty_string_names_its_header_line(text, line):
+    # the line reported was the next header's, or the file's last
+    with pytest.raises(FormatError) as exc:
+        parse_ist(io.StringIO(text), filename="e.ist")
+    assert str(exc.value).startswith(f"e.ist:{line}: string ")
+    assert "has no positions" in str(exc.value)
+
+
 @pytest.mark.parametrize("text, line, needle", [
     (">A\na\n#\n#\nb\n", 4, "directly after the break on line 3"),
     (">A\na\n#\n% note\n\n#\nb\n", 6, "directly after the break on line 3"),

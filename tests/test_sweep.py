@@ -86,13 +86,13 @@ def test_right_bounds_unsatisfiable_quorum(demo):
 def test_trans_intervals_demo(demo):
     t = build_pos_tables(demo)
     params = SearchParams(delta=1, quorum=3, min_size=6)
-    # (j, k, l, covered, d) for j in 6..12: S1 position 3 misses S3:1-8;
+    # (j, y, k, l, covered, d) for j in 6..12: S1 position 3 misses S3:1-8;
     # S2 position 6 misses S1:1-8 but hits S1:9, so S2:2-7 has one indel
     # against S1:1-8 and none against S1:1-9
     vs_s3 = enumerate_trans_intervals(t, 0, 1, 6, 12, 2, params)
-    assert (8, 1, 8, 7, 0) in vs_s3
+    assert (8, 2, 1, 8, 7, 0) in vs_s3
     vs_s2 = enumerate_trans_intervals(t, 0, 1, 6, 12, 1, params)
-    assert {(8, 2, 7, 8, 1), (9, 2, 7, 9, 0)} <= set(vs_s2)
+    assert {(8, 1, 2, 7, 8, 1), (9, 1, 2, 7, 9, 0)} <= set(vs_s2)
     # a range call is the per-j calls laid end to end
     assert vs_s2 == [r for j in range(6, 13)
                      for r in enumerate_trans_intervals(t, 0, 1, j, j, 1, params)]
@@ -140,17 +140,17 @@ def test_trans_intervals_past_word_boundary():
                         continue
                     size_x, size_y = (pair.size_left, pair.size_right) if x < y \
                         else (pair.size_right, pair.size_left)
-                    expected.append((j, k, l, size_x, l - k + 1 - size_y))
+                    expected.append((j, y, k, l, size_x, l - k + 1 - size_y))
             assert got == expected, (delta, x, i, y)
             seen["pairs"] += len(got)
             seen["d > 0"] += sum(1 for *_, d in got if d)
-            seen["covered < span"] += sum(1 for j, _, _, c, _ in got if c < j - i + 1)
+            seen["covered < span"] += sum(1 for j, _, _, _, c, _ in got if c < j - i + 1)
             seen["right bounds"] += len({j for j, *_ in got}) > 1
     assert min(seen.values()) > 0, seen
 
 
 def oracle_trans_intervals(ds, params):
-    """(x, i, y) -> sorted (j, k, l, covered, d) of every reportable pair of
+    """(x, i, y) -> sorted (j, y, k, l, covered, d) of every reportable pair of
     an interval [i, j] of S_x with an interval [k, l] of S_y, from
     `brute_force_pairs`; covered and d are the non-indel count of [i, j] and
     the indel count of [k, l]."""
@@ -158,8 +158,9 @@ def oracle_trans_intervals(ds, params):
     for p in brute_force_pairs(ds, params):
         for a, b, size_a, size_b in ((p.left, p.right, p.size_left, p.size_right),
                                      (p.right, p.left, p.size_right, p.size_left)):
-            out[ds.index_of(a.string_id), a.i, ds.index_of(b.string_id)].append(
-                (a.j, b.i, b.j, size_a, b.length - size_b))
+            y = ds.index_of(b.string_id)
+            out[ds.index_of(a.string_id), a.i, y].append(
+                (a.j, y, b.i, b.j, size_a, b.length - size_b))
     return {key: sorted(v) for key, v in out.items()}
 
 
