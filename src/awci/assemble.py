@@ -19,8 +19,8 @@ from functools import reduce
 from operator import and_, or_
 from typing import Callable, Collection, Iterable, Sequence
 
-from .model import (AnchoredInterval, AwciPair, AwciSet, Dataset, RangeError,
-                    ResourceLimitError, SearchParams, UnsupportedError, ValidationError)
+from .model import (AnchoredInterval, AwciPair, AwciSet, Dataset, ResourceLimitError,
+                    SearchParams, UnsupportedError)
 from .oracle import is_closed_set  # uncalled; perfbench's install_wrappers still wraps it
 
 CLIQUE_GUARD = 2_000_000  # Bron-Kerbosch steps before ResourceLimitError
@@ -29,34 +29,22 @@ CLIQUE_GUARD = 2_000_000  # Bron-Kerbosch steps before ResourceLimitError
 class AwciGraph:
     """Deduplicated interval vertices plus their adjacency sets,
     string-partitioned: `string_index[v]` is the dataset index of vertex v's
-    string. Every vertex must lie on a string of the dataset, within one
-    contig: else ValidationError (unknown string) or RangeError."""
+    string. A plain container that checks nothing: `build_graph` checks each
+    vertex once, with `Dataset.check_interval`."""
 
-    def __init__(self, dataset: Dataset, vertices: Sequence[AnchoredInterval],
-                 adj: list[set[int]]) -> None:
+    def __init__(self, dataset: Dataset, vertices: list[AnchoredInterval],
+                 adj: list[set[int]], string_index: list[int]) -> None:
         self.dataset = dataset
-        self.vertices = list(vertices)
+        self.vertices = vertices
         self.adj = adj
-        self.string_index: list[int] = []
-        for iv in self.vertices:
-            try:
-                x = dataset.index_of(iv.string_id)
-            except KeyError:
-                raise ValidationError(f"interval {iv}: string {iv.string_id!r} "
-                                      f"is not in the dataset") from None
-            s = dataset[x]
-            if iv.j > len(s):
-                raise RangeError(f"interval {iv} runs past the end of its string "
-                                 f"({len(s)} positions)")
-            if s.contig_of[iv.i] != s.contig_of[iv.j]:
-                raise RangeError(f"interval {iv} straddles a contig break")
-            self.string_index.append(x)
+        self.string_index = string_index
 
     def subgraph(self, kept: Sequence[int]) -> "AwciGraph":
         """The subgraph induced by `kept` (ascending), renumbered in its order."""
         remap = {v: k for k, v in enumerate(kept)}
         return AwciGraph(self.dataset, [self.vertices[v] for v in kept],
-                         [{remap[u] for u in self.adj[v] if u in remap} for v in kept])
+                         [{remap[u] for u in self.adj[v] if u in remap} for v in kept],
+                         [self.string_index[v] for v in kept])
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -68,27 +56,30 @@ def build_graph(pairs: Iterable[AwciPair], dataset: Dataset,
     remaining neighbours span fewer than quorum-1 other strings: no reported
     set can hold it, and dropping a vertex only shrinks the others' spans.
 
-    A pair with both intervals on one string raises UnsupportedError; an
-    interval on a string not in the dataset, past its string's end or across
-    a contig break raises as `AwciGraph` says.
+    A pair with both intervals on one string raises UnsupportedError; each
+    distinct interval is checked once, by `Dataset.check_interval`, when
+    first met.
     """
     vertex_ids: dict[AnchoredInterval, int] = {}
     adj: list[set[int]] = []
+    string_index: list[int] = []
+    check = dataset.check_interval
     for p in pairs:
         left, right = p.left, p.right
         if left.string_id == right.string_id:
             raise UnsupportedError(f"pair {left} ~ {right} lies on one string")
         if (u := vertex_ids.get(left)) is None:
+            string_index.append(check(left))
             u = vertex_ids[left] = len(adj)
             adj.append(set())
         if (v := vertex_ids.get(right)) is None:
+            string_index.append(check(right))
             v = vertex_ids[right] = len(adj)
             adj.append(set())
         adj[u].add(v)
         adj[v].add(u)
 
-    graph = AwciGraph(dataset, list(vertex_ids), adj)
-    string_index = graph.string_index
+    graph = AwciGraph(dataset, list(vertex_ids), adj, string_index)
     need = params.quorum - 1
 
     def infeasible(v: int, live: set[int]) -> bool:

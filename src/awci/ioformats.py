@@ -31,6 +31,7 @@ from .model import (
     Dataset,
     FormatError,
     IndeterminateString,
+    SearchParams,
     ValidationError,
     build_string,
 )
@@ -259,7 +260,11 @@ def write_sets(sets: Sequence[AwciSet], fh: IO[str], *, delta: int, quorum: int)
 
 
 def parse_sets(fh: IO[str], filename: str = "<sets>") -> list[tuple[AwciSet, int, int]]:
-    """Inverse of write_sets: (set, delta, quorum) per record."""
+    """Inverse of write_sets: (set, delta, quorum) per record.
+
+    A record no search could write raises FormatError naming its line: two
+    members on one string, fewer members than its quorum, or a delta or
+    quorum that `SearchParams` refuses."""
     header = fh.readline().strip()
     if header != SETS_HEADER:
         raise FormatError(f"{filename}: bad header {header!r}")
@@ -287,9 +292,13 @@ def parse_sets(fh: IO[str], filename: str = "<sets>") -> list[tuple[AwciSet, int
             raise FormatError(f"{filename}:{lineno}: expected closed=1, since only "
                               "closed sets are written")
         try:
-            delta = int(meta["delta"])
-            quorum = int(meta["quorum"])
-        except (KeyError, ValueError) as exc:
-            raise FormatError(f"{filename}:{lineno}: bad metadata") from exc
-        out.append((AwciSet(members=tuple(members)), delta, quorum))
+            params = SearchParams(delta=int(meta["delta"]), quorum=int(meta["quorum"]))
+        except (KeyError, ValueError, ValidationError) as exc:
+            raise FormatError(f"{filename}:{lineno}: bad metadata: {exc}") from exc
+        if len({m.string_id for m in members}) < len(members):
+            raise FormatError(f"{filename}:{lineno}: two members on one string")
+        if len(members) < params.quorum:
+            raise FormatError(f"{filename}:{lineno}: {len(members)} members, fewer "
+                              f"than quorum={params.quorum}")
+        out.append((AwciSet(members=tuple(members)), params.delta, params.quorum))
     return out

@@ -28,12 +28,12 @@ class UnsupportedError(ValidationError):
     """Operation outside the supported comparison model (e.g. same-string pair)."""
 
 
-class RangeError(AwciError):
-    """Position or interval outside the valid range of a string."""
+class RangeError(ValidationError):
+    """Position or interval outside its string or across a contig break (CLI exit 2)."""
 
 
 class ResourceLimitError(AwciError):
-    """A configured enumeration guard was exceeded."""
+    """An enumeration guard, a module constant, was exceeded."""
 
 
 class Alphabet:
@@ -74,7 +74,7 @@ class IndeterminateString:
     `contig_breaks` holds positions p meaning a boundary lies between p and p+1.
     Intervals never straddle a boundary. `contig_of[p]` is the (first, last)
     position of p's contig, one tuple per contig (1-based p; index 0 holds an
-    unused None); `contig_bounds` reads it after a range check.
+    unused None), read with no range check: p must lie in the string.
     """
 
     __slots__ = ("id", "positions", "contig_breaks", "contig_of")
@@ -111,12 +111,6 @@ class IndeterminateString:
 
     def __len__(self) -> int:
         return len(self.positions)
-
-    def contig_bounds(self, p: int) -> tuple[int, int]:
-        """(first, last) position of the contig containing position p."""
-        if not 1 <= p <= len(self.positions):
-            raise RangeError(f"string {self.id!r}: position {p} out of range")
-        return self.contig_of[p]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IndeterminateString):
@@ -208,6 +202,21 @@ class Dataset:
 
     def index_of(self, string_id: str) -> int:
         return self._index[string_id]
+
+    def check_interval(self, iv: AnchoredInterval) -> int:
+        """The index of `iv`'s string, once `iv` is known to lie inside that
+        string and inside one of its contigs. An unknown string id raises
+        ValidationError; an interval past its string's end or across a contig
+        break raises RangeError."""
+        x = self._index.get(iv.string_id)
+        if x is None:
+            raise ValidationError(f"interval {iv}: no string {iv.string_id!r} in the dataset")
+        s = self.strings[x]
+        if iv.j > len(s):
+            raise RangeError(f"interval {iv} runs past its string's end ({len(s)} positions)")
+        if s.contig_of[iv.i] != s.contig_of[iv.j]:
+            raise RangeError(f"interval {iv} straddles a contig break")
+        return x
 
     def sort_key(self, interval: AnchoredInterval) -> tuple[int, int, int]:
         return (self._index[interval.string_id], interval.i, interval.j)

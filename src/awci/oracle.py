@@ -11,8 +11,9 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .model import (AnchoredInterval, AwciPair, AwciSet, Dataset, IndeterminateString,
-                    RangeError, ResourceLimitError, SearchParams, UnsupportedError,
-                    ValidationError)
+                    RangeError, ResourceLimitError, SearchParams, UnsupportedError)
+
+CLIQUE_GUARD = 2_000_000  # clique steps of the brute-force set search before ResourceLimitError
 
 
 def at(s: IndeterminateString, p: int) -> frozenset[int]:
@@ -32,17 +33,8 @@ def char_set(s: IndeterminateString, i: int, j: int) -> frozenset[int]:
 def intervals(s: IndeterminateString) -> Iterator[tuple[int, int]]:
     """All valid (i, j) intervals of s, contig by contig."""
     for i in range(1, len(s) + 1):
-        for j in range(i, s.contig_bounds(i)[1] + 1):
+        for j in range(i, s.contig_of[i][1] + 1):
             yield i, j
-
-
-def check_interval(dataset: Dataset, interval: AnchoredInterval) -> None:
-    """Raise unless `interval` lies inside its string and inside one contig."""
-    s = dataset[interval.string_id]
-    if interval.j > len(s):
-        raise RangeError(f"{interval} exceeds |{s.id}| = {len(s)}")
-    if s.contig_bounds(interval.i) != s.contig_bounds(interval.j):
-        raise ValidationError(f"{interval} straddles a contig break")
 
 
 @dataclass(frozen=True)
@@ -64,14 +56,13 @@ def judge_pair(dataset: Dataset, a: AnchoredInterval, b: AnchoredInterval,
     """Evaluate the approximate weak common interval property for (a, b).
 
     Computes the common character set C of the two intervals and counts the
-    positions on each side whose sets miss C entirely (the indels).
+    positions on each side whose sets miss C entirely (the indels). Both
+    intervals go through `Dataset.check_interval` first.
     """
     if a.string_id == b.string_id:
         raise UnsupportedError("cannot compare two intervals of the same string")
-    sa = dataset[a.string_id]
-    sb = dataset[b.string_id]
-    check_interval(dataset, a)
-    check_interval(dataset, b)
+    sa = dataset.strings[dataset.check_interval(a)]
+    sb = dataset.strings[dataset.check_interval(b)]
     common = char_set(sa, a.i, a.j) & char_set(sb, b.i, b.j)
     indel_left = tuple(p for p in range(a.i, a.j + 1) if not (at(sa, p) & common))
     indel_right = tuple(p for p in range(b.i, b.j + 1) if not (at(sb, p) & common))
@@ -90,13 +81,14 @@ def is_closed_set(dataset: Dataset, intervals: Sequence[AnchoredInterval]) -> bo
 
     A member [i, j] on S disqualifies the set if a position p in {i-1, j+1},
     inside S and inside the same contig, has S[p] intersecting the character
-    set of every other member's interval.
+    set of every other member's interval. Every member goes through
+    `Dataset.check_interval` first.
     """
-    for member in intervals:
-        s = dataset[member.string_id]
-        lo, hi = s.contig_bounds(member.i)
-        others = [iv for iv in intervals if iv is not member]
-        other_sets = [char_set(dataset[iv.string_id], iv.i, iv.j) for iv in others]
+    strings = [dataset.strings[dataset.check_interval(iv)] for iv in intervals]
+    for member, s in zip(intervals, strings):
+        lo, hi = s.contig_of[member.i]
+        other_sets = [char_set(t, iv.i, iv.j)
+                      for iv, t in zip(intervals, strings) if iv is not member]
         for p in (member.i - 1, member.j + 1):
             if not lo <= p <= hi:
                 continue
@@ -112,16 +104,16 @@ def make_pair(dataset: Dataset, a: AnchoredInterval, b: AnchoredInterval,
 
     A pair is reported iff it is a delta-AWCI pair, all four endpoints are
     anchored (each endpoint set intersects the pair's common set), and both
-    intervals are at least `min_size` positions long.
+    intervals are at least `min_size` positions long. A pair failing the
+    length test returns None before `judge_pair` checks its intervals.
     """
     if a.length < params.min_size or b.length < params.min_size:
         return None
     v = judge_pair(dataset, a, b, params.delta)
     if not v.is_awci:
         return None
-    sa = dataset[a.string_id]
-    sb = dataset[b.string_id]
-    for s, iv in ((sa, a), (sb, b)):
+    for iv in (a, b):
+        s = dataset[iv.string_id]
         if not (at(s, iv.i) & v.common) or not (at(s, iv.j) & v.common):
             return None
     if dataset.index_of(a.string_id) > dataset.index_of(b.string_id):
@@ -175,14 +167,13 @@ def brute_force_grouped_pairs(dataset: Dataset, params: SearchParams,
     return [p for p in pairs if len(partners[p.left]) >= params.quorum - 1]
 
 
-def brute_force_maximal_closed_sets(dataset: Dataset, params: SearchParams,
-                                    max_cliques: int = 2_000_000) -> list[AwciSet]:
+def brute_force_maximal_closed_sets(dataset: Dataset, params: SearchParams) -> list[AwciSet]:
     """Enumerate closed AWCI sets that are inclusion-maximal among closed sets.
 
     Builds the pairwise-AWCI graph exhaustively, walks every clique spanning at
     least `quorum` strings, keeps the closed ones, and finally removes any
-    closed set contained in a larger closed set. Exponential; gated by
-    `max_cliques`.
+    closed set contained in a larger closed set. Exponential; past
+    `CLIQUE_GUARD` clique steps it raises ResourceLimitError.
     """
     pairs = brute_force_pairs(dataset, params)
     vertices = sorted({p.left for p in pairs} | {p.right for p in pairs},
@@ -201,9 +192,8 @@ def brute_force_maximal_closed_sets(dataset: Dataset, params: SearchParams,
         nonlocal counter
         for idx, v in enumerate(candidates):
             counter += 1
-            if counter > max_cliques:
-                raise ResourceLimitError(
-                    f"clique enumeration exceeded {max_cliques} steps")
+            if counter > CLIQUE_GUARD:
+                raise ResourceLimitError(f"clique enumeration exceeded {CLIQUE_GUARD} steps")
             current.append(v)
             if len(current) >= params.quorum:
                 cliques.append(tuple(current))

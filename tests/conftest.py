@@ -28,6 +28,11 @@ def make_dataset(*specs):
     return Dataset(strings, alphabet)
 
 
+def two_strings():
+    """S has 2 positions; T has 3, with a contig break after position 2."""
+    return make_dataset(("S", [["a"], ["b"]]), ("T", [["a"], ["b"], ["c"]], [2]))
+
+
 @pytest.fixture(scope="session")
 def demo():
     return make_dataset(("S1", DEMO_S1), ("S2", DEMO_S2), ("S3", DEMO_S3))

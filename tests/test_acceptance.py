@@ -178,7 +178,7 @@ def test_criterion_5_incremental_test_exactness():
                 if x == y:
                     continue
                 for i in range(1, len(sx) + 1):
-                    hi = sx.contig_bounds(i)[1]
+                    hi = sx.contig_of[i][1]
                     expected = []
                     for j in range(i, hi + 1):
                         a = AnchoredInterval(sx.id, i, j)

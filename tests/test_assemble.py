@@ -15,12 +15,12 @@ from awci.assemble import (
     miss_lists,
     prune_dominated_vertices,
 )
-from awci.model import (AnchoredInterval, AwciPair, RangeError, ResourceLimitError,
+from awci.model import (AnchoredInterval, AwciPair, Dataset, RangeError, ResourceLimitError,
                         SearchParams, UnsupportedError, ValidationError)
 from awci.oracle import at, brute_force_maximal_closed_sets, char_set, is_closed_set
 from awci.sweep import enumerate_pairs
 from awci.synth import PlantedSpec, generate_planted, random_instance
-from conftest import WITNESS_CLOSED, make_dataset, perfbench_workloads
+from conftest import WITNESS_CLOSED, make_dataset, perfbench_workloads, two_strings
 
 # the module itself: the package attribute `awci.assemble` is the function
 assemble_module = importlib.import_module("awci.assemble")
@@ -32,7 +32,8 @@ def graph_of(dataset, vertices, edges):
     for u, v in edges:
         adj[u].add(v)
         adj[v].add(u)
-    return AwciGraph(dataset, vertices, adj)
+    return AwciGraph(dataset, vertices, adj,
+                     [dataset.index_of(iv.string_id) for iv in vertices])
 
 
 def demo_graph(demo, params):
@@ -80,11 +81,6 @@ def test_build_graph_empty_stream(demo):
 def unit_pair(left, right):
     return AwciPair(left=left, right=right, common_size=0, indel_total=0,
                     size_left=left.length, size_right=right.length)
-
-
-def two_strings():
-    # S has 2 positions; T has 3, with a contig break after position 2
-    return make_dataset(("S", [["a"], ["b"]]), ("T", [["a"], ["b"], ["c"]], [2]))
 
 
 def test_build_graph_refuses_unknown_string():
@@ -311,7 +307,7 @@ def mask_vs_oracle(ds, params):
         assert (core == clique) == is_closed_set(ds, members), members
         for iv in members:
             s = ds[iv.string_id]
-            lo, hi = s.contig_bounds(iv.i)
+            lo, hi = s.contig_of[iv.i]
             if iv.i == 1 or iv.j == len(s):
                 kinds.add("string_end")
             if (iv.i == lo > 1) or (iv.j == hi < len(s)):
@@ -353,7 +349,7 @@ def literal_extension_masks(graph):
     out = []
     for v, iv in enumerate(graph.vertices):
         s = ds[iv.string_id]
-        lo, hi = s.contig_bounds(iv.i)
+        lo, hi = s.contig_of[iv.i]
         out.append(tuple(sum(1 << u for u in graph.adj[v]
                              if not at(s, p).isdisjoint(char_sets[u]))
                          for p in (iv.i - 1, iv.j + 1) if lo <= p <= hi))
@@ -409,7 +405,8 @@ def shuffled(graph, rng):
     rng.shuffle(order)
     new_id = {v: k for k, v in enumerate(order)}
     return AwciGraph(graph.dataset, [graph.vertices[v] for v in order],
-                     [{new_id[u] for u in graph.adj[v]} for v in order])
+                     [{new_id[u] for u in graph.adj[v]} for v in order],
+                     [graph.string_index[v] for v in order])
 
 
 def edge_set(graph):
@@ -438,6 +435,35 @@ def test_prune_matches_literal_reference():
                                                 if a in kept and b in kept}
                 dropped += len(graph) - len(kept)
     assert dropped > 0
+
+
+def test_assemble_checks_each_vertex_once(monkeypatch):
+    # on the first 16 datasets of perfbench's planted-sets workload, every
+    # distinct interval of the pair stream is checked exactly once, by
+    # `build_graph`; the subgraphs of the drops and the prune check nothing
+    check_interval, subgraph = Dataset.check_interval, AwciGraph.subgraph
+    checked, subgraphs = [], 0
+
+    def counting_check(self, iv):
+        checked.append(iv)
+        return check_interval(self, iv)
+
+    def counting_subgraph(self, kept):
+        nonlocal subgraphs
+        subgraphs += 1
+        return subgraph(self, kept)
+
+    monkeypatch.setattr(Dataset, "check_interval", counting_check)
+    monkeypatch.setattr(AwciGraph, "subgraph", counting_subgraph)
+    spec, params, seed_base = perfbench_workloads()["planted-sets"]
+    params = SearchParams(**params)
+    for u in range(16):
+        ds, _ = generate_planted(PlantedSpec(seed=seed_base + u, **spec))
+        pairs = list(enumerate_pairs(ds, params))
+        checked.clear()
+        assert assemble(pairs, ds, params), u
+        assert sorted(checked) == sorted({iv for p in pairs for iv in p[:2]}), u
+    assert subgraphs > 0
 
 
 def test_drop_rules_run_in_linear_work(monkeypatch):

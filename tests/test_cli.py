@@ -1,5 +1,7 @@
 import io
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,8 @@ from awci.model import AnchoredInterval, AwciSet, SearchParams
 from awci.oracle import brute_force_maximal_closed_sets
 from awci.sweep import enumerate_pairs
 from awci.synth import random_instance
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_demo(demo, tmp_path):
@@ -397,3 +401,35 @@ def test_verify_seeds_below_one_is_usage_error(value, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "usage error" in err and "--seeds" in err
 
+
+
+def readme_block(heading, lang):
+    """The first ```lang block of the README section `## heading`."""
+    section = README.read_text(encoding="utf-8").split(f"\n## {heading}\n", 1)[1]
+    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_command_lines_parse():
+    # optional parts in [...] dropped, backslash continuations joined
+    block = readme_block("Command line", "sh").replace("\\\n", " ")
+    lines = [line for line in block.splitlines() if line.startswith("awci ")]
+    assert len(lines) == 5
+    for line in lines:
+        argv = shlex.split(re.sub(r"\[[^]]*\]", "", line))[1:]
+        assert cli.build_parser().parse_args(argv).command == argv[0], line
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    # on an `awci gen` dataset saved as input.ist, the example prints the
+    # members of each set that `awci sets` reports with its parameters
+    assert cli.main(["gen", "--seed", "7", "--out", str(tmp_path / "input")]) == 0
+    assert cli.main(["sets", str(tmp_path / "input.ist"), "--delta", "1",
+                     "--quorum", "3", "--min-size", "6",
+                     "--out", str(tmp_path / "input.sets")]) == 0
+    with open(tmp_path / "input.sets") as fh:
+        expected = [" ".join(map(str, s.members)) for s, _, _ in parse_sets(fh)]
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    exec(compile(readme_block("Library", "python"), str(README), "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == expected and expected

@@ -1,4 +1,5 @@
 import io
+import re
 
 import pytest
 
@@ -309,7 +310,8 @@ def test_sets_roundtrip():
     sets = [
         AwciSet(members=(AnchoredInterval("S1", 1, 8), AnchoredInterval("S2", 2, 7),
                          AnchoredInterval("S3", 1, 8))),
-        AwciSet(members=(AnchoredInterval("a:b", 3, 3), AnchoredInterval("T", 1, 2))),
+        AwciSet(members=(AnchoredInterval("a:b", 3, 3), AnchoredInterval("T", 1, 2),
+                         AnchoredInterval("U", 4, 4))),
     ]
     buf = io.StringIO()
     write_sets(sets, buf, delta=1, quorum=3)
@@ -330,6 +332,19 @@ def test_sets_empty_and_errors():
         parse_sets(io.StringIO("#awci-sets v1\nS1:1-2\tclosed=1\n"))
     with pytest.raises(FormatError):
         parse_sets(io.StringIO("#awci-sets v1\nS1:x-2\tclosed=1\tdelta=0\tquorum=2\n"))
+
+
+@pytest.mark.parametrize("record, reason", [
+    ("S1:1-2 S1:4-5\tclosed=1\tdelta=0\tquorum=2", "two members on one string"),
+    ("S1:1-2 S2:1-2\tclosed=1\tdelta=0\tquorum=3", "2 members, fewer than quorum=3"),
+    ("S1:1-2 S2:1-2\tclosed=1\tdelta=-1\tquorum=2", "delta must be >= 0"),
+    ("S1:1-2\tclosed=1\tdelta=0\tquorum=1", "quorum must be >= 2"),
+    ("S:1-2 S:3-4\tclosed=1\tdelta=-1\tquorum=1", "delta must be >= 0"),
+], ids=["one-string", "below-quorum", "negative-delta", "quorum-1", "all-at-once"])
+def test_parse_sets_refuses_records_no_search_writes(record, reason):
+    text = f"#awci-sets v1\nS1:1-2 S2:1-2\tclosed=1\tdelta=0\tquorum=2\n{record}\n"
+    with pytest.raises(FormatError, match=f"<sets>:3: .*{re.escape(reason)}"):
+        parse_sets(io.StringIO(text))
 
 
 @pytest.mark.parametrize("meta", ["closed=0\tdelta=0\tquorum=2",

@@ -17,9 +17,10 @@ from awci.model import (
     ValidationError,
     build_string,
 )
-from awci.oracle import at, char_set, check_interval, intervals
+from awci.assemble import build_graph
+from awci.oracle import at, char_set, intervals, is_closed_set, judge_pair, make_pair
 from awci.synth import random_instance
-from conftest import labels_of, make_dataset
+from conftest import labels_of, make_dataset, two_strings
 
 
 def test_alphabet_intern_dense_and_idempotent():
@@ -139,24 +140,21 @@ def test_char_set_monotone(demo):
             assert inner <= char_set(s, max(1, i - 1), min(len(s), j + 1))
 
 
-def test_contig_bounds_and_intervals():
+def test_contig_table_and_intervals():
     ds = make_dataset(("S", [["a"], ["b"], ["c"], ["d"], ["e"]], [2]))
     s = ds["S"]
-    assert s.contig_bounds(1) == (1, 2)
-    assert s.contig_bounds(3) == (3, 5)
-    for p in (0, -1, 6):
-        with pytest.raises(RangeError):
-            s.contig_bounds(p)
-    check_interval(ds, AnchoredInterval("S", 1, 2))
+    assert s.contig_of[1] == (1, 2)
+    assert s.contig_of[3] == (3, 5)
+    assert ds.check_interval(AnchoredInterval("S", 1, 2)) == 0
     with pytest.raises(ValidationError, match="straddles"):
-        check_interval(ds, AnchoredInterval("S", 2, 3))
+        ds.check_interval(AnchoredInterval("S", 2, 3))
     ivs = list(intervals(s))
     assert (2, 3) not in ivs and (1, 2) in ivs and (3, 5) in ivs
     # 3 intervals in the first contig, 6 in the second
     assert len(ivs) == 3 + 6
 
 
-def test_contig_table_matches_contig_bounds():
+def test_contig_table_matches_breaks():
     singles = 0
     for seed in range(100):
         for s in random_instance(seed, break_prob=0.4):
@@ -165,11 +163,8 @@ def test_contig_table_matches_contig_bounds():
             for p in range(1, n + 1):
                 first = 1 + max((b for b in s.contig_breaks if b < p), default=0)
                 last = min((b for b in s.contig_breaks if b >= p), default=n)
-                assert s.contig_of[p] == s.contig_bounds(p) == (first, last)
+                assert s.contig_of[p] == (first, last)
                 singles += first == last
-            for p in (0, n + 1):
-                with pytest.raises(RangeError):
-                    s.contig_bounds(p)
     assert singles > 100
 
 
@@ -206,12 +201,42 @@ def test_pairs_and_intervals_are_tuples():
 def test_dataset_lookup_and_checks(demo):
     assert demo.index_of("S2") == 1
     assert demo["S2"] is demo[1]
-    check_interval(demo, AnchoredInterval("S1", 1, 12))
+    assert demo.check_interval(AnchoredInterval("S1", 1, 12)) == 0
     with pytest.raises(RangeError):
-        check_interval(demo, AnchoredInterval("S1", 1, 13))
+        demo.check_interval(AnchoredInterval("S1", 1, 13))
     ds = make_dataset(("S", [["a"], ["b"]], [1]), ("T", [["a"]]))
     with pytest.raises(ValidationError):
-        check_interval(ds, AnchoredInterval("S", 1, 2))
+        ds.check_interval(AnchoredInterval("S", 1, 2))
+
+
+def check_through_graph(ds, good, bad):
+    pair = AwciPair(left=good, right=bad, common_size=0, indel_total=0,
+                    size_left=good.length, size_right=bad.length)
+    build_graph([pair], ds, SearchParams(delta=0, quorum=2))
+
+
+@pytest.mark.parametrize("bad, error", [
+    (AnchoredInterval("X", 1, 1), ValidationError),  # unknown string
+    (AnchoredInterval("S", 1, 3), RangeError),  # past S's end
+    (AnchoredInterval("T", 2, 3), RangeError),  # across T's break
+], ids=["unknown-string", "past-end", "across-break"])
+def test_every_interval_check_is_the_dataset_one(bad, error):
+    # the graph build and the oracle raise what `Dataset.check_interval`
+    # raises, class and message alike
+    ds = two_strings()
+    good = AnchoredInterval("T" if bad.string_id == "S" else "S", 1, 1)
+    params = SearchParams(delta=2, quorum=2, min_size=1)
+    with pytest.raises(ValidationError) as expected:
+        ds.check_interval(bad)
+    assert type(expected.value) is error
+    for call in (lambda: check_through_graph(ds, good, bad),
+                 lambda: judge_pair(ds, good, bad, params.delta),
+                 lambda: make_pair(ds, good, bad, params),
+                 lambda: is_closed_set(ds, [good, bad])):
+        with pytest.raises(ValidationError) as got:
+            call()
+        assert type(got.value) is error
+        assert str(got.value) == str(expected.value)
 
 
 def test_dataset_duplicate_ids():

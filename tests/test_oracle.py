@@ -146,10 +146,10 @@ def test_brute_force_sets_two_identical():
     assert tuple(str(m) for m in sets[0].members) == ("S:1-2", "T:1-2")
 
 
-def test_brute_force_sets_resource_guard(demo):
-    with pytest.raises(ResourceLimitError):
-        brute_force_maximal_closed_sets(
-            demo, SearchParams(delta=1, quorum=2, min_size=1), max_cliques=10)
+def test_brute_force_sets_resource_guard(demo, monkeypatch):
+    monkeypatch.setattr(awci.oracle, "CLIQUE_GUARD", 10)
+    with pytest.raises(ResourceLimitError, match="exceeded 10 steps"):
+        brute_force_maximal_closed_sets(demo, SearchParams(delta=1, quorum=2, min_size=1))
 
 
 def test_only_cli_calls_the_oracle():

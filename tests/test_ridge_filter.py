@@ -77,7 +77,7 @@ def literal_neighbourhood(sx, sy, p, delta):
     def trivial(q):
         return not at(sy, q) & shared
 
-    lo, hi = sy.contig_bounds(p)
+    lo, hi = sy.contig_of[p]
     k, cost = p, 0
     while k > lo and cost + trivial(k - 1) <= delta:
         k -= 1
@@ -143,7 +143,7 @@ def test_filter_position_matches_literal_end():
                             k, l, _ = literal_neighbourhood(sx, sy, p, delta)
                             reach = literal_reach(sx, sy, k, l)
                             misses = 0
-                            for q in range(i, sx.contig_bounds(i)[1] + 1):
+                            for q in range(i, sx.contig_of[i][1] + 1):
                                 if q in reach:
                                     want = max(want, q)
                                 else:

@@ -179,7 +179,7 @@ def test_trans_intervals_range_matches_oracle_per_j():
                 for x, sx in enumerate(ds):
                     for i in range(1, len(sx) + 1):
                         jmin = max(i, i + min_size - 1)
-                        jend = sx.contig_bounds(i)[1]
+                        jend = sx.contig_of[i][1]
                         if jmin > jend:
                             continue
                         for y in range(len(ds)):
